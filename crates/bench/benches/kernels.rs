@@ -1,13 +1,16 @@
 //! Criterion microbenchmarks of the real CPU kernels: SpMV (sequential vs
 //! rayon), triangular solves (sequential vs level-parallel vs
-//! synchronization-free), ILU(0)/ILU(K) factorization, and the
-//! sparsification step itself. These pin the substrate costs the analytic
-//! GPU model abstracts.
+//! synchronization-free), ILU(0)/ILU(K) factorization, and the plan-build
+//! kernels (sparsification, SPAI/FSAI construction, RCM and coloring).
+//! These pin the substrate costs the analytic GPU model abstracts.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use spcg_core::sparsify_by_magnitude;
-use spcg_precond::{ilu0, iluk, ExecutionStrategy};
+use spcg_precond::{
+    ilu0, iluk, ExecutionStrategy, FsaiPreconditioner, SaiPattern, SaiPreconditioner,
+};
 use spcg_sparse::generators::{layered_poisson_2d, poisson_2d};
+use spcg_sparse::permute::{greedy_color_perm, reverse_cuthill_mckee};
 use spcg_sparse::spmv::{spmv, spmv_par};
 use spcg_wavefront::{
     solve_levels_par, solve_lower_seq, solve_lower_sync_free, LevelSchedule, Triangle,
@@ -86,6 +89,18 @@ fn bench_sparsify(c: &mut Criterion) {
     g.bench_function("level_schedule_build", |b| {
         b.iter(|| LevelSchedule::build(black_box(&a), Triangle::Lower))
     });
+    // The rest of an Auto plan build's one-time work: the approximate-
+    // inverse constructions of the kind search and the candidate orderings.
+    let grid = poisson_2d(200, 200);
+    g.sample_size(20);
+    g.bench_function("spai_build", |b| {
+        b.iter(|| SaiPreconditioner::new(black_box(&grid), SaiPattern::OfA).unwrap())
+    });
+    g.bench_function("fsai_build", |b| {
+        b.iter(|| FsaiPreconditioner::new(black_box(&grid)).unwrap())
+    });
+    g.bench_function("rcm", |b| b.iter(|| reverse_cuthill_mckee(black_box(&grid))));
+    g.bench_function("coloring", |b| b.iter(|| greedy_color_perm(black_box(&grid))));
     g.finish();
 }
 

@@ -68,43 +68,90 @@ pub fn sparsify_by_magnitude<T: Scalar>(a: &CsrMatrix<T>, percent: f64) -> Spars
     assert!((0.0..100.0).contains(&percent), "percent must be in [0, 100)");
 
     let target = ((percent / 100.0) * a.nnz() as f64).floor() as usize;
+    let (row_ptr, col_idx, values) = (a.row_ptr(), a.col_idx(), a.values());
 
-    // Candidate upper-triangle entries sorted by magnitude (then position).
-    let mut candidates: Vec<(usize, usize, f64)> =
-        a.iter().filter(|&(r, c, _)| r < c).map(|(r, c, v)| (r, c, v.to_f64().abs())).collect();
-    candidates.sort_by(|x, y| {
-        x.2.partial_cmp(&y.2)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(x.0.cmp(&y.0))
-            .then(x.1.cmp(&y.1))
-    });
-
-    // Greedily mark pairs until the target entry count is met. A pair costs
-    // 2 entries when the mirror exists, 1 otherwise (structurally
-    // unsymmetric input degrades gracefully).
-    let mut dropped = 0usize;
-    let mut drop_set: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
-    for (r, c, _) in candidates {
-        if dropped >= target {
-            break;
+    // Upper-triangle candidates as (|v|, CSR position, mirror position).
+    // Mirrors are found with one ascending cursor per row: the entries
+    // (c, r) of row c are met in increasing r as the scan walks rows r.
+    let mut cursor = row_ptr[..a.n_rows()].to_vec();
+    let mut candidates: Vec<(f64, usize, usize)> = Vec::new();
+    for r in 0..a.n_rows() {
+        for p in row_ptr[r]..row_ptr[r + 1] {
+            let c = col_idx[p];
+            if c <= r {
+                continue;
+            }
+            let end = row_ptr[c + 1];
+            while cursor[c] < end && col_idx[cursor[c]] < r {
+                cursor[c] += 1;
+            }
+            let mirror = if cursor[c] < end && col_idx[cursor[c]] == r { cursor[c] } else { NONE };
+            candidates.push((values[p].to_f64().abs(), p, mirror));
         }
-        let pair = usize::from(a.get(c, r).is_some());
-        let cost = 1 + pair;
-        if dropped + cost > target {
-            continue; // try a later (possibly unpaired) candidate
-        }
-        drop_set.insert((r, c));
-        if pair == 1 {
-            drop_set.insert((c, r));
-        }
-        dropped += cost;
     }
 
-    let a_hat = a.filter(|r, c, _| r == c || !drop_set.contains(&(r, c)));
-    let s = a.filter(|r, c, _| r != c && drop_set.contains(&(r, c)));
+    let mut drop = vec![false; a.nnz()];
+    let mut dropped = 0usize;
+    if candidates.iter().all(|&(m, _, mirror)| mirror != NONE && !m.is_nan()) {
+        // Every pair costs 2, so the greedy walk below would take exactly
+        // the first ⌊target/2⌋ candidates in (|v|, row, col) order; CSR
+        // position orders like (row, col), making the key a strict total
+        // order whose k smallest elements a selection finds as one set.
+        let k = (target / 2).min(candidates.len());
+        if k < candidates.len() {
+            candidates.select_nth_unstable_by(k, |x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+        }
+        for &(_, p, mirror) in &candidates[..k] {
+            drop[p] = true;
+            drop[mirror] = true;
+        }
+        dropped = 2 * k;
+    } else {
+        // Unpaired entries or NaN magnitudes: the sorted greedy walk. A pair
+        // costs 2 entries when the mirror exists, 1 otherwise (structurally
+        // unsymmetric input degrades gracefully).
+        candidates.sort_by(|x, y| {
+            x.0.partial_cmp(&y.0).unwrap_or(std::cmp::Ordering::Equal).then(x.1.cmp(&y.1))
+        });
+        for &(_, p, mirror) in &candidates {
+            if dropped >= target {
+                break;
+            }
+            let cost = if mirror == NONE { 1 } else { 2 };
+            if dropped + cost > target {
+                continue; // try a later (possibly unpaired) candidate
+            }
+            drop[p] = true;
+            if mirror != NONE {
+                drop[mirror] = true;
+            }
+            dropped += cost;
+        }
+    }
+
+    // One pass splits A into Â (kept) and S (dropped).
+    let mut kept = (Vec::with_capacity(a.n_rows() + 1), Vec::new(), Vec::new());
+    let mut gone = (Vec::with_capacity(a.n_rows() + 1), Vec::new(), Vec::new());
+    kept.0.push(0);
+    gone.0.push(0);
+    for r in 0..a.n_rows() {
+        for p in row_ptr[r]..row_ptr[r + 1] {
+            let side = if drop[p] { &mut gone } else { &mut kept };
+            side.1.push(col_idx[p]);
+            side.2.push(values[p]);
+        }
+        kept.0.push(kept.1.len());
+        gone.0.push(gone.1.len());
+    }
+    let n = a.n_rows();
+    let a_hat = CsrMatrix::from_raw_unchecked(n, n, kept.0, kept.1, kept.2);
+    let s = CsrMatrix::from_raw_unchecked(n, n, gone.0, gone.1, gone.2);
 
     Sparsified { a_hat, s, dropped_nnz: dropped, requested_percent: percent }
 }
+
+/// Mirror position of a candidate whose transpose entry is not stored.
+const NONE: usize = usize::MAX;
 
 #[cfg(test)]
 mod tests {

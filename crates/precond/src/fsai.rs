@@ -18,7 +18,7 @@
 use crate::traits::Preconditioner;
 use spcg_probe::{Counter, Probe};
 use spcg_sparse::spmv::spmv;
-use spcg_sparse::{CooMatrix, CsrMatrix, DenseMatrix, Result, Scalar, SparseError};
+use spcg_sparse::{CsrMatrix, DenseMatrix, Result, Scalar, SparseError};
 
 /// A factored sparse approximate inverse `M⁻¹ = Gᵀ G` with lower-triangular
 /// `G ≈ L⁻¹` on the pattern of `tril(A)`.
@@ -50,28 +50,46 @@ impl<T: Scalar> FsaiPreconditioner<T> {
             return Err(SparseError::NotSquare { n_rows: a.n_rows(), n_cols: a.n_cols() });
         }
         let n = a.n_rows();
-        let mut coo = CooMatrix::with_capacity(n, n, a.lower().nnz());
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut col_idx = Vec::new();
+        let mut values = Vec::new();
+        row_ptr.push(0);
+        // Per-row buffers, reused across rows. slot[j] is j's index in the
+        // current support (usize::MAX when absent), so gathering A(J, J)
+        // walks the support rows once instead of binary-searching k² times.
+        let mut cols: Vec<usize> = Vec::new();
+        let mut sub = DenseMatrix::zeros(0, 0);
+        let mut y: Vec<T> = Vec::new();
+        let mut slot = vec![usize::MAX; n];
         let mut gathered = 0u64;
         for i in 0..n {
             // Support: stored lower-triangle columns of row i, diagonal
             // included whether or not it is stored.
-            let mut cols: Vec<usize> = a.row_cols(i).iter().copied().filter(|&j| j < i).collect();
+            cols.clear();
+            cols.extend(a.row_cols(i).iter().copied().filter(|&j| j < i));
             cols.push(i);
             let k = cols.len();
+            for (s, &j) in cols.iter().enumerate() {
+                slot[j] = s;
+            }
             // Gathered dense subsystem A(J, J).
-            let mut sub = DenseMatrix::zeros(k, k);
+            sub.reset_zeros(k, k);
             for (r, &jr) in cols.iter().enumerate() {
-                for (c, &jc) in cols.iter().enumerate() {
-                    if let Some(v) = a.get(jr, jc) {
-                        sub.set(r, c, v);
+                for (&c, &v) in a.row_cols(jr).iter().zip(a.row_values(jr)) {
+                    if slot[c] != usize::MAX {
+                        sub.set(r, slot[c], v);
                     }
                 }
             }
+            for &j in &cols {
+                slot[j] = usize::MAX;
+            }
             gathered += (k * k) as u64;
             // rhs = e_i restricted to J (the diagonal is the last entry).
-            let mut rhs = vec![T::ZERO; k];
-            rhs[k - 1] = T::ONE;
-            let y = sub.solve(&rhs).map_err(|_| SparseError::ZeroDiagonal { row: i })?;
+            y.clear();
+            y.resize(k, T::ZERO);
+            y[k - 1] = T::ONE;
+            sub.solve_in_place(&mut y).map_err(|_| SparseError::ZeroDiagonal { row: i })?;
             // For SPD A(J,J), y_i = (A(J,J)⁻¹)_ii > 0; anything else is a
             // breakdown (indefinite or numerically singular subsystem).
             let d = y[k - 1];
@@ -79,14 +97,16 @@ impl<T: Scalar> FsaiPreconditioner<T> {
                 return Err(SparseError::ZeroDiagonal { row: i });
             }
             let scale = T::from_f64(1.0 / d.to_f64().sqrt());
-            for (s, &j) in cols.iter().enumerate() {
-                let v = y[s] * scale;
+            for (&j, &ys) in cols.iter().zip(&y) {
+                let v = ys * scale;
                 if v != T::ZERO {
-                    coo.push(i, j, v)?;
+                    col_idx.push(j);
+                    values.push(v);
                 }
             }
+            row_ptr.push(col_idx.len());
         }
-        let g = coo.to_csr();
+        let g = CsrMatrix::from_raw_unchecked(n, n, row_ptr, col_idx, values);
         let gt = g.transpose();
         probe.counter(Counter::SpaiRows, n as u64);
         probe.counter(Counter::SpaiGathered, gathered);
@@ -139,6 +159,7 @@ impl<T: Scalar> Preconditioner<T> for FsaiPreconditioner<T> {
 mod tests {
     use super::*;
     use spcg_sparse::generators::{banded_spd, poisson_1d, poisson_2d};
+    use spcg_sparse::CooMatrix;
 
     #[test]
     fn diagonal_matrix_inverts_exactly() {

@@ -10,7 +10,7 @@
 
 use crate::traits::Preconditioner;
 use spcg_sparse::spmv::spmv;
-use spcg_sparse::{CooMatrix, CscMatrix, CsrMatrix, DenseMatrix, Result, Scalar, SparseError};
+use spcg_sparse::{CsrMatrix, DenseMatrix, Result, Scalar, SparseError};
 
 /// Pattern used for the approximate inverse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,66 +55,93 @@ impl<T: Scalar> SaiPreconditioner<T> {
             return Err(SparseError::NotSquare { n_rows: a.n_rows(), n_cols: a.n_cols() });
         }
         let n = a.n_rows();
-        let csc = CscMatrix::from_csr(a);
-        let support: Vec<Vec<usize>> = match pattern {
-            SaiPattern::OfA => (0..n).map(|i| a.row_cols(i).to_vec()).collect(),
-            SaiPattern::OfASquared => (0..n)
-                .map(|i| {
-                    let mut cols: Vec<usize> =
-                        a.row_cols(i).iter().flat_map(|&k| a.row_cols(k).iter().copied()).collect();
-                    cols.sort_unstable();
-                    cols.dedup();
-                    cols
-                })
-                .collect(),
-        };
-
-        let mut coo = CooMatrix::with_capacity(n, n, support.iter().map(Vec::len).sum());
+        let eps = T::from_f64(1e-12);
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut col_idx = Vec::with_capacity(a.nnz());
+        let mut values = Vec::with_capacity(a.nnz());
+        row_ptr.push(0);
+        // Per-row buffers, reused across rows.
+        let mut squared: Vec<usize> = Vec::new();
+        let mut btb = DenseMatrix::zeros(0, 0);
+        let mut g: Vec<T> = Vec::new();
+        // scatter[c] holds A[cols[p]][c] while row cols[p] is scattered;
+        // seen[c] == i marks column c as touched by row i's support.
+        let mut scatter = vec![T::ZERO; n];
+        let mut seen = vec![usize::MAX; n];
         let mut gathered = 0u64;
-        for (i, cols) in support.iter().enumerate() {
+        for i in 0..n {
+            let cols: &[usize] = match pattern {
+                SaiPattern::OfA => a.row_cols(i),
+                SaiPattern::OfASquared => {
+                    squared.clear();
+                    squared.extend(a.row_cols(i).iter().flat_map(|&k| a.row_cols(k)));
+                    squared.sort_unstable();
+                    squared.dedup();
+                    &squared
+                }
+            };
             let k = cols.len();
             if k == 0 {
                 return Err(SparseError::ZeroDiagonal { row: i });
             }
-            // Rows of A touched by the support columns (g_iᵀ A restricted).
-            let mut touched: Vec<usize> =
-                cols.iter().flat_map(|&j| a.row_cols(j).iter().copied()).collect();
-            touched.sort_unstable();
-            touched.dedup();
-            // Dense local system: B[t][s] = A[cols[s]][touched[t]].
-            let m = touched.len();
-            gathered += (m * k) as u64;
-            let mut bmat = DenseMatrix::zeros(m, k);
-            for (s, &j) in cols.iter().enumerate() {
-                for (&c, &v) in a.row_cols(j).iter().zip(a.row_values(j)) {
-                    let t = touched.binary_search(&c).expect("touched covers row j");
-                    bmat.set(t, s, v);
+            // B[t][s] = A[cols[s]][touched[t]], with `touched` the columns of
+            // A met by the support rows (g_iᵀ A restricted); only its size
+            // is needed, for the gathered-entries counter.
+            let mut m = 0usize;
+            for &j in cols {
+                for &c in a.row_cols(j) {
+                    if seen[c] != i {
+                        seen[c] = i;
+                        m += 1;
+                    }
                 }
             }
-            let _ = &csc; // csc retained for future column-driven patterns
-                          // rhs = e_i restricted to touched.
-            let mut rhs = vec![T::ZERO; m];
-            if let Ok(t) = touched.binary_search(&i) {
-                rhs[t] = T::ONE;
+            gathered += (m * k) as u64;
+            // Normal equations (BᵀB) g = Bᵀ e_i. Entry (p, q) of BᵀB is the
+            // sparse dot of rows cols[p] and cols[q] of A, summed in
+            // ascending column order with zero terms skipped — exactly the
+            // dense product's sum — and (Bᵀ e_i)[p] = A[cols[p]][i].
+            btb.reset_zeros(k, k);
+            g.clear();
+            g.resize(k, T::ZERO);
+            for p in 0..k {
+                let (pc, pv) = (a.row_cols(cols[p]), a.row_values(cols[p]));
+                for (&c, &v) in pc.iter().zip(pv) {
+                    scatter[c] = v;
+                    if c == i {
+                        g[p] = T::ZERO + v;
+                    }
+                }
+                for (q, &jq) in cols.iter().enumerate().skip(p) {
+                    let mut sum = T::ZERO;
+                    for (&c, &v) in a.row_cols(jq).iter().zip(a.row_values(jq)) {
+                        let w = scatter[c];
+                        if w != T::ZERO {
+                            sum += w * v;
+                        }
+                    }
+                    btb.set(p, q, sum);
+                    btb.set(q, p, sum);
+                }
+                for &c in pc {
+                    scatter[c] = T::ZERO;
+                }
             }
-            // Normal equations: (BᵀB) g = Bᵀ rhs.
-            let bt = bmat.transpose();
-            let mut btb = bt.matmul(&bmat)?;
             // Tiny Tikhonov term guards against rank deficiency.
-            let eps = T::from_f64(1e-12);
             for d in 0..k {
                 let v = btb.get(d, d) + eps;
                 btb.set(d, d, v);
             }
-            let btr = bt.matvec(&rhs);
-            let g = btb.solve(&btr)?;
-            for (s, &j) in cols.iter().enumerate() {
-                if g[s] != T::ZERO {
-                    coo.push(i, j, g[s])?;
+            btb.solve_in_place(&mut g)?;
+            for (&j, &v) in cols.iter().zip(&g) {
+                if v != T::ZERO {
+                    col_idx.push(j);
+                    values.push(v);
                 }
             }
+            row_ptr.push(col_idx.len());
         }
-        let g = coo.to_csr();
+        let g = CsrMatrix::from_raw_unchecked(n, n, row_ptr, col_idx, values);
         probe.counter(spcg_probe::Counter::SpaiRows, n as u64);
         probe.counter(spcg_probe::Counter::SpaiGathered, gathered);
         probe.counter(spcg_probe::Counter::AinvNnz, g.nnz() as u64);
@@ -177,6 +204,7 @@ impl<T: Scalar> Preconditioner<T> for SaiPreconditioner<T> {
 mod tests {
     use super::*;
     use spcg_sparse::generators::{banded_spd, poisson_1d, poisson_2d};
+    use spcg_sparse::CooMatrix;
 
     #[test]
     fn diagonal_matrix_inverts_exactly() {

@@ -125,24 +125,42 @@ impl<T: Scalar> DenseMatrix<T> {
         out
     }
 
+    /// Reshapes to an `n_rows × n_cols` all-zero matrix, reusing the
+    /// allocation (for per-row local systems assembled in a loop).
+    pub fn reset_zeros(&mut self, n_rows: usize, n_cols: usize) {
+        self.n_rows = n_rows;
+        self.n_cols = n_cols;
+        self.data.clear();
+        self.data.resize(n_rows * n_cols, T::ZERO);
+    }
+
     /// Solves `A x = b` by Gaussian elimination with partial pivoting.
     ///
     /// Reference-quality direct solver used to validate the iterative
     /// solvers; `O(n^3)`, intended for small systems.
     pub fn solve(&self, b: &[T]) -> Result<Vec<T>> {
+        let mut a = self.clone();
+        let mut x: Vec<T> = b.to_vec();
+        a.solve_in_place(&mut x)?;
+        Ok(x)
+    }
+
+    /// [`solve`](DenseMatrix::solve) without allocating: `x` holds `b` on
+    /// entry and the solution on exit, and `self` is overwritten by its
+    /// eliminated (upper-triangular) form. Bitwise identical to `solve`.
+    pub fn solve_in_place(&mut self, x: &mut [T]) -> Result<()> {
         if self.n_rows != self.n_cols {
             return Err(SparseError::NotSquare { n_rows: self.n_rows, n_cols: self.n_cols });
         }
-        if b.len() != self.n_rows {
+        if x.len() != self.n_rows {
             return Err(SparseError::DimensionMismatch(format!(
                 "rhs length {} != n {}",
-                b.len(),
+                x.len(),
                 self.n_rows
             )));
         }
         let n = self.n_rows;
-        let mut a = self.clone();
-        let mut x: Vec<T> = b.to_vec();
+        let a = self;
         for col in 0..n {
             // partial pivot
             let mut piv = col;
@@ -175,7 +193,7 @@ impl<T: Scalar> DenseMatrix<T> {
                     let v = a.get(r, c) - f * a.get(col, c);
                     a.set(r, c, v);
                 }
-                x[r] = x[r] - f * x[col];
+                x[r] -= f * x[col];
             }
         }
         for col in (0..n).rev() {
@@ -185,7 +203,7 @@ impl<T: Scalar> DenseMatrix<T> {
             }
             x[col] = s / a.get(col, col);
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Inverse via `n` solves against the identity. `O(n^4)` with this simple
@@ -242,6 +260,47 @@ mod tests {
     fn singular_is_rejected() {
         let a = DenseMatrix::from_rows(2, 2, vec![1.0, 2.0, 2.0, 4.0]).unwrap();
         assert!(a.solve(&[1.0, 1.0]).is_err());
+    }
+
+    #[test]
+    fn solve_in_place_is_bitwise_solve() {
+        let mut rng = crate::rng::Rng::new(11);
+        for n in [1usize, 2, 5, 9] {
+            let data: Vec<f64> = (0..n * n).map(|_| rng.uniform() - 0.5).collect();
+            let a = DenseMatrix::from_rows(n, n, data).unwrap();
+            let b: Vec<f64> = (0..n).map(|_| rng.uniform()).collect();
+            let want = a.solve(&b).unwrap();
+            let mut lu = a.clone();
+            let mut x = b.clone();
+            lu.solve_in_place(&mut x).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&x), bits(&want), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn solve_in_place_reports_the_same_singular_row() {
+        let a = DenseMatrix::from_rows(3, 3, vec![1.0, 2.0, 0.0, 2.0, 4.0, 0.0, 0.0, 0.0, 1.0])
+            .unwrap();
+        let err = a.solve(&[1.0, 1.0, 1.0]).unwrap_err();
+        assert!(matches!(err, SparseError::ZeroDiagonal { row: 1 }), "{err:?}");
+        let mut x = [1.0, 1.0, 1.0];
+        let err_in_place = a.clone().solve_in_place(&mut x).unwrap_err();
+        assert!(matches!(err_in_place, SparseError::ZeroDiagonal { row: 1 }), "{err_in_place:?}");
+        // Shape errors match too.
+        let mut short = [1.0];
+        assert!(matches!(
+            a.clone().solve_in_place(&mut short),
+            Err(SparseError::DimensionMismatch(_))
+        ));
+    }
+
+    #[test]
+    fn reset_zeros_reshapes() {
+        let mut m = DenseMatrix::from_rows(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        m.reset_zeros(3, 1);
+        assert_eq!((m.n_rows(), m.n_cols()), (3, 1));
+        assert!(m.data().iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -21,6 +21,7 @@ ALLOWED_DIRS = {
     ".github",
     "crates",
     "examples",
+    "measure",
     "scripts",
     "shims",
     "src",
@@ -29,7 +30,8 @@ ALLOWED_DIRS = {
 
 ALLOWED_FILES = {
     ".gitignore",
-    "BENCH_9.json",
+    "BENCH_10.json",
+    "BENCHMARK.json",
     "CHANGES.md",
     "Cargo.lock",
     "Cargo.toml",

@@ -54,6 +54,7 @@ use spcg_probe::{Counter, HistogramProbe, RecordingProbe, Span};
 use spcg_serve::{
     decide, Admission, LoadSnapshot, Priority, RequestPolicy, SolveTier, TierCost, TierCosts,
 };
+use spcg_solver::SolveCtx;
 use spcg_sparse::Rng;
 use spcg_suite::{Ordering, Recipe};
 use std::time::Duration;
@@ -216,7 +217,7 @@ fn precond_study(
         let mut probe = RecordingProbe::new();
         let mut ws = plan.make_workspace();
         let r = plan
-            .solve_with_workspace_probed(b, &mut ws, &mut probe)
+            .solve_in_place(b, &mut ws, SolveCtx::probed(&mut probe))
             .expect("precond-study fixture must solve");
         assert!(r.converged(), "precond-study fixture stopped converging");
         let syncs = probe.finish().counter_total(Counter::Syncs) as usize;
@@ -569,7 +570,8 @@ fn sequence_study(device: &DeviceSpec, solver: &spcg_solver::SolverConfig) -> Ve
             let mut rng = Rng::new(0x5e9 ^ a.n_rows() as u64);
             let mut current = a.clone();
             let mut ws = plan.make_workspace();
-            let opening = plan.solve_from(&b, &mut ws).expect("opening solve");
+            let warm_start = SolveCtx { warm: true, ..SolveCtx::default() };
+            let opening = plan.solve_in_place(&b, &mut ws, warm_start).expect("opening solve");
             assert!(opening.converged(), "sequence fixture {name} opening solve diverged");
             let mut active = plan;
             let (mut iterations_warm, mut iterations_cold) = (0usize, 0usize);
@@ -583,7 +585,7 @@ fn sequence_study(device: &DeviceSpec, solver: &spcg_solver::SolverConfig) -> Ve
                     .solve(&b)
                     .unwrap_or_else(|e| panic!("{name} step {step}: cold solve failed: {e}"));
                 let warm = refreshed
-                    .solve_from(&b, &mut ws)
+                    .solve_in_place(&b, &mut ws, warm_start)
                     .unwrap_or_else(|e| panic!("{name} step {step}: warm solve failed: {e}"));
                 assert!(
                     cold.converged() && warm.converged(),
@@ -725,7 +727,7 @@ fn precision_study(
     let mut probe = RecordingProbe::new();
     let mut ws = mixed.make_workspace();
     let mixed_result = mixed
-        .solve_with_workspace_probed(b, &mut ws, &mut probe)
+        .solve_in_place(b, &mut ws, SolveCtx::probed(&mut probe))
         .expect("mixed fixture must solve");
     assert!(
         full_result.converged() && mixed_result.converged(),

@@ -8,7 +8,7 @@ use spcg_core::{
 };
 use spcg_gpusim::{end_to_end_cost, plan_iteration_cost, DeviceSpec, IterationCost};
 use spcg_precond::{ilu0, ExecutionStrategy, IluFactors};
-use spcg_solver::{SolveWorkspace, SolverConfig, StopReason};
+use spcg_solver::{SolveCtx, SolveWorkspace, SolverConfig, StopReason};
 use spcg_sparse::{CsrMatrix, Result};
 use spcg_wavefront::wavefront_count;
 
@@ -298,8 +298,8 @@ pub fn bench_solver_config() -> SolverConfig {
 /// judged by baseline PCG convergence. The fill cap excludes candidates
 /// whose pattern explodes, as the paper excludes non-completing configs.
 pub fn select_k(a: &CsrMatrix<f64>, b: &[f64], solver: &SolverConfig) -> Option<usize> {
-    // As in `spcg_core::select_best_k`: only the factorization differs per
-    // candidate, so the rhs setup and solve buffers are shared.
+    // Only the factorization differs per candidate, so the rhs setup and
+    // solve buffers are shared.
     let mut ws = SolveWorkspace::new(a.n_rows(), a.n_rows());
     let mut best: Option<(usize, bool, usize)> = None;
     for k in [2usize, 4, 8] {
@@ -312,7 +312,7 @@ pub fn select_k(a: &CsrMatrix<f64>, b: &[f64], solver: &SolverConfig) -> Option<
         ) else {
             continue;
         };
-        let Ok(stats) = plan.solve_in_place(b, &mut ws) else { continue };
+        let Ok(stats) = plan.solve_in_place(b, &mut ws, SolveCtx::default()) else { continue };
         let conv = stats.stop == StopReason::Converged;
         let better = match best {
             None => true,

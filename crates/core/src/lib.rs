@@ -13,8 +13,7 @@
 //!   the joint ordering × ratio selection pass;
 //! * [`resilient`] — breakdown recovery: the adaptive de-sparsification
 //!   fallback ladder with deterministic fault injection;
-//! * [`oracle`] — the best-fixed-ratio upper bound of §4.4;
-//! * [`report`] — serializable per-run records for the benchmark harness.
+//! * [`oracle`] — the best-fixed-ratio upper bound of §4.4.
 //!
 //! ## Quick start
 //!
@@ -54,13 +53,15 @@
 //! shifted refactorization → Jacobi) and reports what it took:
 //!
 //! ```
-//! use spcg_core::{SpcgOptions, SpcgPlan};
+//! use spcg_core::{ResilienceOptions, SpcgOptions, SpcgPlan};
+//! use spcg_probe::NoProbe;
 //! use spcg_sparse::generators::poisson_2d;
 //!
 //! let a = poisson_2d(16, 16);
 //! let plan = SpcgPlan::build(&a, &SpcgOptions::default()).unwrap();
 //! let b = vec![1.0f64; a.n_rows()];
-//! let solve = plan.solve_resilient(&b).unwrap();
+//! let mut ws = plan.make_workspace();
+//! let solve = plan.solve_resilient(&b, &ResilienceOptions::default(), &mut ws, NoProbe).unwrap();
 //! assert!(solve.converged());
 //! assert!(solve.report.clean()); // healthy solve: no fallback needed
 //! ```
@@ -75,7 +76,6 @@ pub mod plan;
 pub mod precision;
 pub mod precond_select;
 pub mod reorder;
-pub mod report;
 pub mod resilient;
 pub mod sparsify;
 
@@ -87,15 +87,11 @@ pub use indicator::{condition_estimate, convergence_indicator, CondEstimator, In
 pub use oracle::{oracle_select, OracleChoice, ORACLE_RATIOS};
 pub use pipeline::{
     build_preconditioner, build_preconditioner_probed, IluFill, PrecondKind, SpcgOptions,
-    SpcgOutcome,
 };
-#[allow(deprecated)] // the deprecated one-shot entry points stay re-exported for migration
-pub use pipeline::{select_best_k, spcg_solve};
 pub use plan::SpcgPlan;
 pub use precision::{fits_lower_precision, PrecisionPolicy};
 pub use precond_select::{KindCandidate, KindDecision};
 pub use reorder::{OrderingKind, ReorderCandidate, ReorderDecision};
-pub use report::RunReport;
 pub use resilient::{
     FallbackRung, FaultInjection, RecoveryAttempt, RecoveryReport, ResilienceOptions,
     ResilientSolve,

@@ -2,16 +2,14 @@
 //! ILU(0)/ILU(K) → run PCG on the *original* `A` with the sparsified
 //! preconditioner.
 
-use crate::algorithm2::{SparsifyDecision, SparsifyParams};
-use crate::plan::SpcgPlan;
+use crate::algorithm2::SparsifyParams;
 use crate::precision::PrecisionPolicy;
 use crate::reorder::OrderingKind;
 use serde::{Deserialize, Serialize};
 use spcg_precond::{ilu0_probed, iluk_probed, ExecutionStrategy, IluFactors, SaiPattern};
 use spcg_probe::{NoProbe, Probe};
-use spcg_solver::{SolveResult, SolveWorkspace, SolverConfig};
+use spcg_solver::SolverConfig;
 use spcg_sparse::{CsrMatrix, Result, Scalar};
-use std::time::Duration;
 
 /// Which incomplete factorization backs the sparsified-ILU preconditioner
 /// (the fill selector within [`PrecondKind::IluSparsified`]).
@@ -151,7 +149,8 @@ pub struct SpcgOptions {
     /// reduced precision under an iterative-refinement outer loop; `Auto`
     /// picks per plan via a representability rule (see [`crate::precision`]).
     pub precision: PrecisionPolicy,
-    /// Slack multiplier on τ applied by [`SpcgPlan::refresh_values`] when it
+    /// Slack multiplier on τ applied by
+    /// [`SpcgPlan::refresh_values`](crate::SpcgPlan::refresh_values) when it
     /// re-evaluates the convergence indicator on refreshed values: the
     /// refreshed split is kept while `‖Â⁻¹‖·‖S‖ ≤ τ · refresh_drift`, and a
     /// full re-plan runs otherwise. `1.0` (the default) holds refreshed
@@ -271,32 +270,11 @@ impl SpcgOptions {
 }
 
 /// Borrowed options convert by cloning, so call sites holding a long-lived
-/// `SpcgOptions` can pass `&opts` to [`SpcgPlan::build`] unchanged.
+/// `SpcgOptions` can pass `&opts` to [`SpcgPlan::build`](crate::SpcgPlan::build)
+/// unchanged.
 impl From<&SpcgOptions> for SpcgOptions {
     fn from(opts: &SpcgOptions) -> Self {
         opts.clone()
-    }
-}
-
-/// Everything produced by one pipeline run.
-#[derive(Debug)]
-pub struct SpcgOutcome<T: Scalar> {
-    /// PCG result (iterations, residuals, solve-phase timings).
-    pub result: SolveResult<T>,
-    /// Sparsification decision (absent for the baseline).
-    pub decision: Option<SparsifyDecision<T>>,
-    /// The factors used as the preconditioner.
-    pub factors: IluFactors<T>,
-    /// Wall-clock time of the sparsification step.
-    pub sparsify_time: Duration,
-    /// Wall-clock time of the factorization step.
-    pub factorization_time: Duration,
-}
-
-impl<T: Scalar> SpcgOutcome<T> {
-    /// End-to-end time: sparsify + factorize + solve.
-    pub fn end_to_end(&self) -> Duration {
-        self.sparsify_time + self.factorization_time + self.result.timings.total
     }
 }
 
@@ -325,187 +303,13 @@ pub fn build_preconditioner_probed<T: Scalar, P: Probe>(
     }
 }
 
-/// Runs the full pipeline: sparsify (optional) → factor → PCG.
-///
-/// One-shot convenience over [`SpcgPlan`]: builds a plan, solves once, and
-/// decomposes the plan into the outcome. Amortize the analysis over many
-/// right-hand sides by holding the plan instead.
-///
-/// PCG always solves the ORIGINAL system `A x = b` (Figure 2): only the
-/// preconditioner sees `Â`.
-#[deprecated(
-    since = "0.1.0",
-    note = "build an `SpcgPlan` and call `solve` (then `into_outcome` if the \
-            legacy `SpcgOutcome` is needed); the plan amortizes analysis \
-            across right-hand sides and exposes the probed/resilient tiers"
-)]
-pub fn spcg_solve<T: Scalar>(
-    a: &CsrMatrix<T>,
-    b: &[T],
-    opts: &SpcgOptions,
-) -> Result<SpcgOutcome<T>> {
-    let plan = SpcgPlan::build(a, opts)?;
-    let result =
-        plan.solve(b).map_err(|e| spcg_sparse::SparseError::DimensionMismatch(e.to_string()))?;
-    Ok(plan.into_outcome(result))
-}
-
-/// The paper's K-selection procedure (§3.3): run baseline PCG-ILU(K) for
-/// each candidate and keep the best-converging K (fewest iterations among
-/// converged runs; smallest final residual otherwise). The same K is then
-/// used for both PCG and SPCG.
-#[deprecated(
-    since = "0.1.0",
-    note = "loop over candidate K values with `SpcgPlan::build` + \
-            `solve_in_place` (this function is a thin wrapper around \
-            exactly that sweep) so the selection policy stays visible at \
-            the call site"
-)]
-pub fn select_best_k<T: Scalar>(
-    a: &CsrMatrix<T>,
-    b: &[T],
-    candidates: &[usize],
-    exec: ExecutionStrategy,
-    solver: &SolverConfig,
-) -> Result<usize> {
-    assert!(!candidates.is_empty(), "need at least one K candidate");
-    // The candidates share everything except the factorization: one
-    // workspace serves every trial solve, and the allocation-free in-place
-    // path keeps the sweep cheap.
-    let mut ws: Option<SolveWorkspace<T>> = None;
-    let mut best: Option<(usize, bool, usize, f64)> = None; // (k, converged, iters, resid)
-    for &k in candidates {
-        let opts = SpcgOptions {
-            sparsify: None,
-            ilu_fill: IluFill::Iluk(k),
-            exec,
-            solver: solver.clone(),
-            ..Default::default()
-        };
-        let Ok(plan) = SpcgPlan::build(a, &opts) else { continue }; // breakdown: skip K
-        let ws = ws.get_or_insert_with(|| plan.make_workspace());
-        let Ok(stats) = plan.solve_in_place(b, ws) else { continue };
-        let conv = stats.converged();
-        let iters = stats.iterations;
-        let resid = stats.final_residual;
-        let better = match &best {
-            None => true,
-            Some((_, bconv, biters, bresid)) => {
-                let (bconv, biters, bresid) = (*bconv, *biters, *bresid);
-                (conv && !bconv)
-                    || (conv == bconv && conv && iters < biters)
-                    || (conv == bconv && !conv && resid < bresid)
-            }
-        };
-        if better {
-            best = Some((k, conv, iters, resid));
-        }
-    }
-    best.map(|(k, _, _, _)| k).ok_or_else(|| {
-        spcg_sparse::SparseError::InvalidStructure(
-            "no candidate K produced a usable factorization".into(),
-        )
-    })
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the legacy one-shot entry points are exactly what is under test
 mod tests {
     use super::*;
-    use spcg_sparse::generators::{poisson_2d, with_magnitude_spread};
-    use spcg_sparse::Rng;
-
-    fn system(n: usize) -> (CsrMatrix<f64>, Vec<f64>) {
-        let a = with_magnitude_spread(&poisson_2d(n, n), 6.0, 21);
-        let mut rng = Rng::new(77);
-        let b = (0..n * n).map(|_| rng.range(-1.0, 1.0)).collect();
-        (a, b)
-    }
 
     #[test]
-    fn baseline_and_spcg_both_converge() {
-        let (a, b) = system(14);
-        let solver = SolverConfig::default().with_tol(1e-10);
-        let base = spcg_solve(
-            &a,
-            &b,
-            &SpcgOptions { sparsify: None, solver: solver.clone(), ..Default::default() },
-        )
-        .unwrap();
-        let spcg = spcg_solve(&a, &b, &SpcgOptions { solver, ..Default::default() }).unwrap();
-        assert!(base.result.converged());
-        assert!(spcg.result.converged(), "SPCG stop: {:?}", spcg.result.stop);
-        assert!(base.decision.is_none());
-        assert!(spcg.decision.is_some());
-    }
-
-    #[test]
-    fn spcg_solution_solves_original_system() {
-        let (a, b) = system(12);
-        let out = spcg_solve(
-            &a,
-            &b,
-            &SpcgOptions { solver: SolverConfig::default().with_tol(1e-11), ..Default::default() },
-        )
-        .unwrap();
-        assert!(out.result.converged());
-        let ax = spcg_sparse::spmv::spmv_alloc(&a, &out.result.x);
-        let err: f64 = ax.iter().zip(&b).map(|(p, q)| (p - q) * (p - q)).sum::<f64>().sqrt();
-        assert!(err < 1e-7, "residual vs ORIGINAL A too large: {err}");
-    }
-
-    #[test]
-    fn sparsified_preconditioner_has_no_more_wavefronts() {
-        let (a, b) = system(16);
-        let base =
-            spcg_solve(&a, &b, &SpcgOptions { sparsify: None, ..Default::default() }).unwrap();
-        let spcg = spcg_solve(&a, &b, &SpcgOptions::default()).unwrap();
-        assert!(
-            spcg.factors.total_wavefronts() <= base.factors.total_wavefronts(),
-            "sparsification must not add ILU(0) wavefronts: {} vs {}",
-            spcg.factors.total_wavefronts(),
-            base.factors.total_wavefronts()
-        );
-    }
-
-    #[test]
-    fn iluk_pipeline_runs() {
-        let (a, b) = system(10);
-        let out = spcg_solve(
-            &a,
-            &b,
-            &SpcgOptions {
-                ilu_fill: IluFill::Iluk(2),
-                solver: SolverConfig::default().with_tol(1e-10),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(out.result.converged());
+    fn ilu_fill_labels() {
+        assert_eq!(IluFill::Ilu0.label(), "ILU(0)");
         assert_eq!(IluFill::Iluk(2).label(), "ILU(2)");
-    }
-
-    #[test]
-    fn best_k_prefers_fewer_iterations() {
-        let (a, b) = system(10);
-        let k = select_best_k(
-            &a,
-            &b,
-            &[0, 2],
-            ExecutionStrategy::Sequential,
-            &SolverConfig::default().with_tol(1e-10),
-        )
-        .unwrap();
-        // more fill ⇒ fewer iterations on this well-behaved system
-        assert_eq!(k, 2);
-    }
-
-    #[test]
-    fn end_to_end_time_is_sum_of_phases() {
-        let (a, b) = system(8);
-        let out = spcg_solve(&a, &b, &SpcgOptions::default()).unwrap();
-        let e2e = out.end_to_end();
-        assert!(e2e >= out.result.timings.total);
-        assert!(e2e >= out.factorization_time);
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::algorithm2::{wavefront_aware_sparsify_probed, SparsifyDecision};
 use crate::indicator::convergence_indicator;
-use crate::pipeline::{build_preconditioner_probed, PrecondKind, SpcgOptions, SpcgOutcome};
+use crate::pipeline::{build_preconditioner_probed, PrecondKind, SpcgOptions};
 use crate::precision::{fits_lower_precision, PrecisionPolicy};
 use crate::precond_select::{build_ainv_probed, select_kind_probed, KindDecision};
 use crate::reorder::{select_ordering_probed, ReorderDecision, ReorderOutcome};
@@ -21,8 +21,8 @@ use spcg_precond::{
 };
 use spcg_probe::{Counter, NoProbe, Probe, Span};
 use spcg_solver::{
-    pcg_in_place_probed, pcg_in_place_warm_probed, pcg_refined_in_place_probed, RefinedStats,
-    SolveFault, SolveResult, SolveStats, SolveWorkspace, SolverError,
+    pcg_in_place, pcg_refined_in_place, RefinedStats, SolveCtx, SolveResult, SolveStats,
+    SolveWorkspace, SolverError,
 };
 use spcg_sparse::{CsrMatrix, Result, Scalar, SparseError};
 use std::time::{Duration, Instant};
@@ -44,21 +44,19 @@ pub(crate) const MIXED_STAGNATION_WINDOW: usize = 25;
 /// factors (with their precomputed level schedules), and the analysis-phase
 /// timings. Build once with [`SpcgPlan::build`] (or
 /// [`build_probed`](SpcgPlan::build_probed) to trace the analysis), then
-/// pick a solve tier:
+/// pick a solve entry point:
 ///
 /// * [`solve`](SpcgPlan::solve) — owned result, fresh workspace per call;
 /// * [`solve_with_workspace`](SpcgPlan::solve_with_workspace) — owned
 ///   result, caller-provided workspace, allocation-free iteration loop;
 /// * [`solve_in_place`](SpcgPlan::solve_in_place) — fully allocation-free:
-///   the iterate stays in the workspace, only `Copy` stats come back;
+///   the iterate stays in the workspace, only `Copy` stats come back; its
+///   [`SolveCtx`] carries the per-call [`Probe`], iteration budget, and
+///   warm start;
 /// * [`solve_many`](SpcgPlan::solve_many) — batched independent right-hand
 ///   sides fanned across rayon workers;
-/// * [`solve_resilient`](SpcgPlan::solve_resilient) and friends
-///   (`resilient` module) — the breakdown-recovery fallback ladder on top
-///   of any of the above.
-///
-/// Every tier has a `*_probed` twin taking a [`Probe`] that observes
-/// spans, counters, and per-iteration events without changing numerics.
+/// * [`solve_resilient`](SpcgPlan::solve_resilient) (`resilient` module)
+///   — the breakdown-recovery fallback ladder.
 ///
 /// The plan is immutable after construction (`&self` solves), so one plan
 /// can serve many threads concurrently; [`solve_many`](SpcgPlan::solve_many)
@@ -692,177 +690,73 @@ impl<T: Scalar> SpcgPlan<T> {
         b: &[T],
         ws: &mut SolveWorkspace<T>,
     ) -> std::result::Result<SolveResult<T>, SolverError> {
-        self.solve_with_workspace_probed(b, ws, &mut NoProbe)
-    }
-
-    /// [`solve_with_workspace`](Self::solve_with_workspace) with an
-    /// observability [`Probe`]: the PCG loop reports a `Span::SolveLoop`
-    /// with nested `Spmv`/`PrecondApply`/`Blas` spans and one
-    /// [`IterationEvent`](spcg_probe::IterationEvent) per iteration.
-    /// Numerics are bitwise identical for any probe.
-    pub fn solve_with_workspace_probed<P: Probe>(
-        &self,
-        b: &[T],
-        ws: &mut SolveWorkspace<T>,
-        probe: &mut P,
-    ) -> std::result::Result<SolveResult<T>, SolverError> {
-        // The in-place tier does all the work (including the permuted
-        // boundary gather/scatter and the precision dispatch); this tier
-        // only copies the iterate and history out of the workspace.
-        let stats = self.solve_in_place_probed(b, ws, probe)?;
-        Ok(SolveResult {
-            x: ws.solution().to_vec(),
-            iterations: stats.iterations,
-            final_residual: stats.final_residual,
-            stop: stats.stop,
-            residual_history: ws.history().to_vec(),
-            timings: stats.timings,
-        })
-    }
-
-    /// [`solve_with_workspace_probed`](Self::solve_with_workspace_probed)
-    /// under a per-request iteration budget (see
-    /// [`solve_in_place_deadline_probed`](Self::solve_in_place_deadline_probed)).
-    /// Returns [`SolverError::DeadlineExceeded`] when the budget expires
-    /// before convergence.
-    pub fn solve_with_workspace_deadline_probed<P: Probe>(
-        &self,
-        b: &[T],
-        deadline_iters: usize,
-        ws: &mut SolveWorkspace<T>,
-        probe: &mut P,
-    ) -> std::result::Result<SolveResult<T>, SolverError> {
-        let stats = self.solve_in_place_deadline_probed(b, deadline_iters, ws, probe)?;
-        Ok(SolveResult {
-            x: ws.solution().to_vec(),
-            iterations: stats.iterations,
-            final_residual: stats.final_residual,
-            stop: stats.stop,
-            residual_history: ws.history().to_vec(),
-            timings: stats.timings,
-        })
+        let stats = self.solve_in_place(b, ws, SolveCtx::default())?;
+        Ok(ws.to_result(stats))
     }
 
     /// The fully allocation-free solve: the iterate stays in
-    /// `ws.solution()` and only `Copy` statistics are returned.
-    pub fn solve_in_place(
-        &self,
-        b: &[T],
-        ws: &mut SolveWorkspace<T>,
-    ) -> std::result::Result<SolveStats, SolverError> {
-        self.solve_in_place_probed(b, ws, &mut NoProbe)
-    }
-
-    /// [`solve_in_place`](Self::solve_in_place) with an observability
-    /// [`Probe`]. The zero-allocation guarantee holds whenever the probe
-    /// itself does not allocate ([`NoProbe`] never does).
-    pub fn solve_in_place_probed<P: Probe>(
-        &self,
-        b: &[T],
-        ws: &mut SolveWorkspace<T>,
-        probe: &mut P,
-    ) -> std::result::Result<SolveStats, SolverError> {
-        self.solve_in_place_deadline_probed(b, usize::MAX, ws, probe)
-    }
-
-    /// [`solve_in_place_probed`](Self::solve_in_place_probed) under a
-    /// per-request iteration budget: the plan's configured solver settings
-    /// apply, except `deadline_iters` is overridden for this call. Serving
-    /// layers derive the budget from a wall-clock deadline via the gpusim
-    /// cost model (`spcg_gpusim::iteration_budget`). With `usize::MAX` the
-    /// behaviour — and the trajectory — is identical to the plain entry.
-    /// For mixed-precision plans the budget applies to each refinement
-    /// inner run, not their sum: refinement restarts re-arm the watchdog.
-    pub fn solve_in_place_deadline_probed<P: Probe>(
-        &self,
-        b: &[T],
-        deadline_iters: usize,
-        ws: &mut SolveWorkspace<T>,
-        probe: &mut P,
-    ) -> std::result::Result<SolveStats, SolverError> {
-        let Some(perm) = self.perm.as_deref() else {
-            return self.pcg_tier_probed(&self.a, b, deadline_iters, ws, probe);
-        };
-        let n = self.n();
-        if b.len() != n {
-            // Let the inner solver surface its canonical dimension error.
-            return self.pcg_tier_probed(self.operator(), b, deadline_iters, ws, probe);
-        }
-        let mut buf = ws.take_staging(n);
-        for (k, &old) in perm.iter().enumerate() {
-            buf[k] = b[old];
-        }
-        let stats = self.pcg_tier_probed(self.operator(), &buf, deadline_iters, ws, probe);
-        if stats.is_ok() {
-            // The iterate sits in the workspace in permuted order; scatter
-            // it back through the staging buffer so `ws.solution()` is in
-            // the caller's ordering, like every other tier.
-            let x = ws.solution_mut();
-            for (k, &old) in perm.iter().enumerate() {
-                buf[old] = x[k];
-            }
-            x.copy_from_slice(&buf);
-        }
-        ws.restore_staging(buf);
-        stats
-    }
-
-    /// Warm-started allocation-free solve: PCG is seeded from the
-    /// workspace-resident previous solution (`x₀ = ws.solution()`) instead
-    /// of zero. For a sequence of slowly drifting systems this converts the
-    /// previous step's solution directly into iteration savings; on a
-    /// freshly-zeroed workspace it is bitwise identical to
-    /// [`solve_in_place`](Self::solve_in_place), because
-    /// `r₀ = b − A·0 = b` exactly.
-    pub fn solve_from(
-        &self,
-        b: &[T],
-        ws: &mut SolveWorkspace<T>,
-    ) -> std::result::Result<SolveStats, SolverError> {
-        self.solve_from_probed(b, ws, &mut NoProbe)
-    }
-
-    /// [`solve_from`](Self::solve_from) with an observability [`Probe`].
-    pub fn solve_from_probed<P: Probe>(
-        &self,
-        b: &[T],
-        ws: &mut SolveWorkspace<T>,
-        probe: &mut P,
-    ) -> std::result::Result<SolveStats, SolverError> {
-        self.solve_from_deadline_probed(b, usize::MAX, ws, probe)
-    }
-
-    /// [`solve_from_probed`](Self::solve_from_probed) under a per-request
-    /// iteration budget (see
-    /// [`solve_in_place_deadline_probed`](Self::solve_in_place_deadline_probed)).
+    /// `ws.solution()`, in the caller's ordering, and only `Copy`
+    /// statistics are returned. `ctx` carries the per-call inputs (see
+    /// [`SolveCtx`]); the zero-allocation guarantee holds whenever its
+    /// probe does not allocate ([`NoProbe`] never does).
     ///
-    /// Mixed-precision plans run the cold refinement driver — the outer
-    /// loop re-derives its restart iterates, so a warm seed has no variant
-    /// there yet; results stay correct, just without the iteration savings.
-    /// For reordered plans the resident iterate (kept in the caller's
-    /// ordering) is gathered into permuted space before seeding; a
-    /// workspace whose resident iterate does not match this system's
-    /// dimension seeds from zero.
-    pub fn solve_from_deadline_probed<P: Probe>(
+    /// * **Probe.** The PCG loop reports a `Span::SolveLoop` with nested
+    ///   `Spmv`/`PrecondApply`/`Blas` spans and one
+    ///   [`IterationEvent`](spcg_probe::IterationEvent) per iteration;
+    ///   numerics are bitwise identical for any probe.
+    /// * **Budget.** `ctx.deadline_iters` cuts the solve off with
+    ///   [`SolverError::DeadlineExceeded`], leaving the iterate reached so
+    ///   far in `ws.solution()`. For mixed-precision plans the budget
+    ///   applies to each refinement inner run, not their sum.
+    /// * **Warm start.** With `ctx.warm`, PCG is seeded from the resident
+    ///   iterate (`x₀ = ws.solution()`) instead of zero — for a sequence of
+    ///   slowly drifting systems this turns the previous step's solution
+    ///   into iteration savings, and on a freshly-zeroed workspace it is
+    ///   bitwise identical to a cold solve. Mixed-precision plans run the
+    ///   cold refinement driver: its outer loop re-derives its restart
+    ///   iterates, so a warm seed has no variant there yet.
+    pub fn solve_in_place<P: Probe>(
         &self,
         b: &[T],
-        deadline_iters: usize,
         ws: &mut SolveWorkspace<T>,
-        probe: &mut P,
+        ctx: SolveCtx<P>,
     ) -> std::result::Result<SolveStats, SolverError> {
-        let Some(perm) = self.perm.as_deref() else {
-            return self.pcg_tier_warm_probed(&self.a, b, deadline_iters, ws, probe);
-        };
+        self.in_operator_space(b, ws, ctx.warm, |b, ws| {
+            let (operator, config) = (self.operator(), &self.opts.solver);
+            if let Some(ainv) = &self.ainv {
+                return pcg_in_place(operator, ainv, b, config, ws, ctx);
+            }
+            match &self.mixed {
+                None => pcg_in_place(operator, self.factors(), b, config, ws, ctx),
+                Some(mixed) => {
+                    self.solve_mixed(mixed, b, ws, SolveCtx { warm: false, ..ctx }).map(|r| r.stats)
+                }
+            }
+        })
+    }
+
+    /// Runs `solve` in the plan's operator space. A reordered plan gathers
+    /// `b` — and, for a warm start, the resident iterate — into its
+    /// permuted order through the workspace's staging buffer, then scatters
+    /// the iterate in `ws.solution()` back to the caller's order, after an
+    /// error as well as on success: the resident iterate is always in
+    /// caller order, so a deadline-cut solve hands back a usable best-so-far
+    /// iterate and a warm start that follows gathers it exactly once.
+    /// Natural plans, and a `b` of the wrong length (the inner solver
+    /// reports the canonical dimension error), pass straight through.
+    pub(crate) fn in_operator_space<R>(
+        &self,
+        b: &[T],
+        ws: &mut SolveWorkspace<T>,
+        warm: bool,
+        solve: impl FnOnce(&[T], &mut SolveWorkspace<T>) -> R,
+    ) -> R {
         let n = self.n();
-        if b.len() != n {
-            // Let the inner solver surface its canonical dimension error.
-            return self.pcg_tier_warm_probed(self.operator(), b, deadline_iters, ws, probe);
-        }
+        let Some(perm) = self.perm.as_deref().filter(|_| b.len() == n) else {
+            return solve(b, ws);
+        };
         let mut buf = ws.take_staging(n);
-        if ws.solution().len() == n {
-            // The resident iterate is in the caller's ordering (every solve
-            // tier scatters back on success); gather it into permuted space
-            // so the warm seed matches the operator PCG iterates on.
+        if warm && ws.solution().len() == n {
             let x = ws.solution_mut();
             for (k, &old) in perm.iter().enumerate() {
                 buf[k] = x[old];
@@ -872,67 +766,16 @@ impl<T: Scalar> SpcgPlan<T> {
         for (k, &old) in perm.iter().enumerate() {
             buf[k] = b[old];
         }
-        let stats = self.pcg_tier_warm_probed(self.operator(), &buf, deadline_iters, ws, probe);
-        if stats.is_ok() {
-            let x = ws.solution_mut();
-            for (k, &old) in perm.iter().enumerate() {
-                buf[old] = x[k];
-            }
-            x.copy_from_slice(&buf);
+        let out = solve(&buf, ws);
+        // Every input was validated above, so PCG ran and sized the
+        // workspace to this system: the iterate is in permuted order.
+        let x = ws.solution_mut();
+        for (k, &old) in perm.iter().enumerate() {
+            buf[old] = x[k];
         }
+        x.copy_from_slice(&buf);
         ws.restore_staging(buf);
-        stats
-    }
-
-    /// The warm-start analogue of [`pcg_tier_probed`](Self::pcg_tier_probed):
-    /// full plans seed PCG from the workspace-resident iterate; mixed plans
-    /// fall back to the cold refinement driver (see
-    /// [`solve_from_deadline_probed`](Self::solve_from_deadline_probed)).
-    fn pcg_tier_warm_probed<P: Probe>(
-        &self,
-        operator: &CsrMatrix<T>,
-        b: &[T],
-        deadline_iters: usize,
-        ws: &mut SolveWorkspace<T>,
-        probe: &mut P,
-    ) -> std::result::Result<SolveStats, SolverError> {
-        let config = self.opts.solver.clone().with_deadline_iters(deadline_iters);
-        if let Some(ainv) = &self.ainv {
-            return pcg_in_place_warm_probed(operator, ainv, b, &config, None, ws, probe);
-        }
-        let Some(mixed) = &self.mixed else {
-            return pcg_in_place_warm_probed(operator, self.factors(), b, &config, None, ws, probe);
-        };
-        self.solve_mixed_in_place_probed(operator, mixed, b, None, deadline_iters, ws, probe)
-            .map(|r| r.stats)
-    }
-
-    /// The precision-tier dispatch, in operator space: full plans run the
-    /// plain PCG loop (bitwise identical to the pre-mixed pipeline); mixed
-    /// plans run the reduced-precision apply under the full-precision
-    /// iterative-refinement outer loop.
-    fn pcg_tier_probed<P: Probe>(
-        &self,
-        operator: &CsrMatrix<T>,
-        b: &[T],
-        deadline_iters: usize,
-        ws: &mut SolveWorkspace<T>,
-        probe: &mut P,
-    ) -> std::result::Result<SolveStats, SolverError> {
-        // SolverConfig is stack-only, so the budgeted clone stays on the
-        // zero-allocation path.
-        let config = self.opts.solver.clone().with_deadline_iters(deadline_iters);
-        if let Some(ainv) = &self.ainv {
-            // Level-free tier: the generic PCG loop with the approximate
-            // inverse as its `Preconditioner` — no sweeps, no precision
-            // dispatch (ainv plans are always full precision).
-            return pcg_in_place_probed(operator, ainv, b, &config, None, ws, probe);
-        }
-        let Some(mixed) = &self.mixed else {
-            return pcg_in_place_probed(operator, self.factors(), b, &config, None, ws, probe);
-        };
-        self.solve_mixed_in_place_probed(operator, mixed, b, None, deadline_iters, ws, probe)
-            .map(|r| r.stats)
+        out
     }
 
     /// The solver configuration the mixed tier runs under: the caller's
@@ -949,34 +792,31 @@ impl<T: Scalar> SpcgPlan<T> {
         }
     }
 
-    /// One mixed-tier solve (reduced-precision apply + refinement outer
-    /// loop) with precision counters: `precision.mixed_applies` (one apply
-    /// per iteration plus the initial apply of each inner run),
-    /// `precision.refine_restarts`, and `precision.bytes_saved` (factor
-    /// bytes the reduced storage avoided streaming per sweep). Shared by
-    /// the plain solve tiers and the resilient ladder's planned attempt.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn solve_mixed_in_place_probed<P: Probe>(
+    /// One mixed-tier solve in operator space (reduced-precision apply +
+    /// refinement outer loop) with precision counters:
+    /// `precision.mixed_applies` (one apply per iteration plus the initial
+    /// apply of each inner run), `precision.refine_restarts`, and
+    /// `precision.bytes_saved` (factor bytes the reduced storage avoided
+    /// streaming per sweep). Shared by the plain solve and the resilient
+    /// ladder's planned attempt.
+    pub(crate) fn solve_mixed<P: Probe>(
         &self,
-        operator: &CsrMatrix<T>,
         mixed: &MixedPrecisionIlu<T>,
         b: &[T],
-        fault: Option<SolveFault>,
-        deadline_iters: usize,
         ws: &mut SolveWorkspace<T>,
-        probe: &mut P,
+        mut ctx: SolveCtx<P>,
     ) -> std::result::Result<RefinedStats, SolverError> {
-        let config = self.mixed_solver_config().with_deadline_iters(deadline_iters);
-        let refined = pcg_refined_in_place_probed(
-            operator,
+        let config = self.mixed_solver_config();
+        let refined = pcg_refined_in_place(
+            self.operator(),
             mixed,
             b,
             &config,
-            fault,
             MAX_REFINE_RESTARTS,
             ws,
-            probe,
+            ctx.reborrow(),
         )?;
+        let probe = &mut ctx.probe;
         probe.counter(
             Counter::PrecisionMixedApplies,
             (refined.stats.iterations + 1 + refined.restarts) as u64,
@@ -1018,40 +858,6 @@ impl<T: Scalar> SpcgPlan<T> {
         });
         out.into_iter().map(|r| r.expect("solve_many worker left a slot unfilled")).collect()
     }
-
-    /// Sequential [`solve_many`](SpcgPlan::solve_many): every right-hand
-    /// side is solved on the calling thread through the one provided
-    /// workspace, in order. Results are identical to `solve_many` (and to
-    /// independent [`solve`](SpcgPlan::solve) calls); use this variant when
-    /// the caller owns the parallelism — e.g. a worker pool where nested
-    /// data-parallel fan-out would oversubscribe the machine — or when the
-    /// batch must stay allocation-free past the first warm solve.
-    pub fn solve_many_with_workspace<B: AsRef<[T]>>(
-        &self,
-        rhs: &[B],
-        ws: &mut SolveWorkspace<T>,
-    ) -> Vec<std::result::Result<SolveResult<T>, SolverError>> {
-        rhs.iter().map(|b| self.solve_with_workspace(b.as_ref(), ws)).collect()
-    }
-
-    /// Decomposes the plan into the legacy [`SpcgOutcome`], attaching the
-    /// result of a solve. Moves the factors and decision — no clone.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a level-free plan: the legacy outcome predates the
-    /// approximate-inverse family and carries `IluFactors` by value.
-    pub fn into_outcome(self, result: SolveResult<T>) -> SpcgOutcome<T> {
-        SpcgOutcome {
-            result,
-            decision: self.decision,
-            factors: self
-                .factors
-                .expect("into_outcome is ILU-only; level-free plans have no factors"),
-            sparsify_time: self.sparsify_time,
-            factorization_time: self.factorization_time,
-        }
-    }
 }
 
 /// Resolves a requested [`PrecisionPolicy`] against freshly-built factors:
@@ -1078,10 +884,10 @@ fn resolve_precision<T: Scalar>(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // bitwise-equivalence tests pin the legacy one-shot path
 mod tests {
     use super::*;
-    use crate::pipeline::{build_preconditioner, spcg_solve};
+    use crate::pipeline::build_preconditioner;
+    use crate::OrderingKind;
     use spcg_solver::SolverConfig;
     use spcg_sparse::generators::{poisson_2d, with_magnitude_spread};
     use spcg_sparse::Rng;
@@ -1098,18 +904,6 @@ mod tests {
             solver: SolverConfig::default().with_tol(1e-10).with_history(true),
             ..Default::default()
         }
-    }
-
-    #[test]
-    fn plan_solve_matches_pipeline_solve_bitwise() {
-        let (a, b) = system(12);
-        let o = opts();
-        let plan = SpcgPlan::build(&a, &o).unwrap();
-        let from_plan = plan.solve(&b).unwrap();
-        let from_pipeline = spcg_solve(&a, &b, &o).unwrap();
-        assert_eq!(from_plan.x, from_pipeline.result.x);
-        assert_eq!(from_plan.residual_history, from_pipeline.result.residual_history);
-        assert_eq!(from_plan.iterations, from_pipeline.result.iterations);
     }
 
     #[test]
@@ -1133,40 +927,67 @@ mod tests {
         assert!(bytes > blocks_bytes);
     }
 
-    #[test]
-    fn deadline_budget_threads_through_the_plan_tiers() {
-        let (a, b) = system(12);
-        // Force a hopeless tolerance so the budget always fires, and a
-        // reordered plan so the permuted gather/scatter path is exercised.
-        let o = SpcgOptions {
-            solver: SolverConfig::default()
-                .with_tol(1e-300)
-                .with_tol_mode(spcg_solver::ToleranceMode::Absolute),
-            ordering: crate::OrderingKind::Rcm,
-            ..Default::default()
-        };
-        let plan = SpcgPlan::build(&a, &o).unwrap();
-        let mut ws = plan.make_workspace();
-        let err = plan
-            .solve_with_workspace_deadline_probed(&b, 4, &mut ws, &mut spcg_probe::NoProbe)
-            .unwrap_err();
-        match err {
-            SolverError::DeadlineExceeded { iterations, best_residual } => {
-                assert_eq!(iterations, 4);
+    /// A solve context with an iteration budget and a warm-start flag.
+    fn budget(deadline_iters: usize, warm: bool) -> SolveCtx {
+        SolveCtx { deadline_iters, warm, ..SolveCtx::default() }
+    }
+
+    fn deadline_iterations(r: std::result::Result<SolveStats, SolverError>) -> usize {
+        match r {
+            Err(SolverError::DeadlineExceeded { iterations, best_residual }) => {
                 assert!(best_residual.is_finite());
+                iterations
             }
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
-        // usize::MAX is bitwise-identical to the plain entry.
-        let o = opts();
-        let plan = SpcgPlan::build(&a, &o).unwrap();
-        let mut ws = plan.make_workspace();
-        let plain = plan.solve_with_workspace(&b, &mut ws).unwrap();
-        let budgeted = plan
-            .solve_with_workspace_deadline_probed(&b, usize::MAX, &mut ws, &mut spcg_probe::NoProbe)
-            .unwrap();
-        assert_eq!(plain.x, budgeted.x);
-        assert_eq!(plain.residual_history, budgeted.residual_history);
+    }
+
+    #[test]
+    fn a_budget_stops_cold_and_warm_solves_at_exactly_k_iterations() {
+        // Tens of iterations to converge at the default tolerance, so every
+        // budget below cuts the solve off.
+        let a = spcg_sparse::generators::poisson_2d(30, 30);
+        let b = vec![1.0; a.n_rows()];
+        for ordering in [OrderingKind::Natural, OrderingKind::Rcm] {
+            let plan = SpcgPlan::build(&a, SpcgOptions::default().with_ordering(ordering)).unwrap();
+            let mut ws = plan.make_workspace();
+            for k in [0, 3, 7] {
+                assert_eq!(
+                    deadline_iterations(plan.solve_in_place(&b, &mut ws, budget(k, false))),
+                    k
+                );
+                assert_eq!(
+                    deadline_iterations(plan.solve_in_place(&b, &mut ws, budget(k, true))),
+                    k
+                );
+            }
+            // Without a budget the same plan converges.
+            assert!(plan.solve_in_place(&b, &mut ws, SolveCtx::default()).unwrap().converged());
+        }
+    }
+
+    #[test]
+    fn a_deadline_cut_leaves_the_max_iters_iterate_in_caller_order() {
+        let (a, b) = system(20);
+        let k = 5;
+        for ordering in [OrderingKind::Natural, OrderingKind::Rcm, OrderingKind::Coloring] {
+            let o = opts().with_ordering(ordering);
+            let plan = SpcgPlan::build(&a, &o).unwrap();
+            assert_eq!(plan.is_reordered(), ordering != OrderingKind::Natural);
+            let mut ws = plan.make_workspace();
+            assert_eq!(deadline_iterations(plan.solve_in_place(&b, &mut ws, budget(k, false))), k);
+            let capped = o.clone().with_solver(o.solver.clone().with_max_iters(k));
+            let reference = SpcgPlan::build(&a, &capped).unwrap().solve(&b).unwrap();
+            assert_eq!(reference.iterations, k);
+            assert_eq!(ws.solution(), &reference.x[..], "{ordering:?}");
+            // The warm solve that follows gathers the caller-order iterate
+            // once and finishes the job.
+            let warm = plan.solve_in_place(&b, &mut ws, budget(usize::MAX, true)).unwrap();
+            assert!(warm.converged(), "{ordering:?}: {:?}", warm.stop);
+            let ax = spcg_sparse::spmv::spmv_alloc(&a, ws.solution());
+            let err: f64 = ax.iter().zip(&b).map(|(p, q)| (p - q) * (p - q)).sum::<f64>().sqrt();
+            assert!(err < 1e-6, "{ordering:?}: residual {err}");
+        }
     }
 
     #[test]
@@ -1212,21 +1033,6 @@ mod tests {
         let one = plan.solve_many(std::slice::from_ref(&b));
         assert_eq!(one.len(), 1);
         assert_eq!(one[0].as_ref().unwrap().x, plan.solve(&b).unwrap().x);
-    }
-
-    #[test]
-    fn solve_many_with_workspace_matches_parallel_batch() {
-        let (a, _) = system(9);
-        let plan = SpcgPlan::build(&a, opts()).unwrap();
-        let mut rng = Rng::new(3);
-        let rhs: Vec<Vec<f64>> =
-            (0..5).map(|_| (0..a.n_rows()).map(|_| rng.range(-1.0, 1.0)).collect()).collect();
-        let mut ws = plan.make_workspace();
-        let sequential = plan.solve_many_with_workspace(&rhs, &mut ws);
-        let parallel = plan.solve_many(&rhs);
-        for (s, p) in sequential.iter().zip(&parallel) {
-            assert_eq!(s.as_ref().unwrap().x, p.as_ref().unwrap().x);
-        }
     }
 
     #[test]
@@ -1298,7 +1104,7 @@ mod tests {
         // this with a counting allocator; here we pin convergence through
         // the pre-sized workspace).
         for _ in 0..2 {
-            let stats = mixed.solve_in_place(&b, &mut ws).unwrap();
+            let stats = mixed.solve_in_place(&b, &mut ws, SolveCtx::default()).unwrap();
             assert!(stats.converged(), "stop {:?}", stats.stop);
         }
     }
@@ -1351,7 +1157,7 @@ mod tests {
     fn refresh_reuses_analysis_without_sparsify_reorder_or_levelbuild() {
         use spcg_probe::RecordingProbe;
         let (a, b) = system(12);
-        let o = opts().with_ordering(crate::OrderingKind::Rcm);
+        let o = opts().with_ordering(OrderingKind::Rcm);
         let plan = SpcgPlan::build(&a, &o).unwrap();
         // Mild value drift: small enough to stay within the τ guard.
         let a_new = a.map_values(|v| v * 1.001);
@@ -1441,12 +1247,12 @@ mod tests {
     #[test]
     fn warm_solve_on_zeroed_workspace_matches_cold_even_reordered() {
         let (a, b) = system(12);
-        let o = opts().with_ordering(crate::OrderingKind::Rcm);
+        let o = opts().with_ordering(OrderingKind::Rcm);
         let plan = SpcgPlan::build(&a, &o).unwrap();
         let mut cold_ws = plan.make_workspace();
-        let cold = plan.solve_in_place(&b, &mut cold_ws).unwrap();
+        let cold = plan.solve_in_place(&b, &mut cold_ws, SolveCtx::default()).unwrap();
         let mut warm_ws = plan.make_workspace();
-        let warm = plan.solve_from(&b, &mut warm_ws).unwrap();
+        let warm = plan.solve_in_place(&b, &mut warm_ws, budget(usize::MAX, true)).unwrap();
         assert_eq!(cold.iterations, warm.iterations);
         assert_eq!(cold_ws.solution(), warm_ws.solution());
     }
@@ -1454,19 +1260,19 @@ mod tests {
     #[test]
     fn warm_solve_reuses_the_resident_solution() {
         let (a, b) = system(12);
-        for o in [opts(), opts().with_ordering(crate::OrderingKind::Rcm)] {
+        for o in [opts(), opts().with_ordering(OrderingKind::Rcm)] {
             let plan = SpcgPlan::build(&a, &o).unwrap();
             let mut ws = plan.make_workspace();
-            let cold = plan.solve_in_place(&b, &mut ws).unwrap();
+            let cold = plan.solve_in_place(&b, &mut ws, SolveCtx::default()).unwrap();
             assert!(cold.converged());
             // Same rhs again: the resident solution is already converged.
-            let warm = plan.solve_from(&b, &mut ws).unwrap();
+            let warm = plan.solve_in_place(&b, &mut ws, budget(usize::MAX, true)).unwrap();
             assert!(warm.converged(), "stop {:?}", warm.stop);
             assert_eq!(warm.iterations, 0, "resident solution must satisfy the threshold");
             // A drifted rhs still needs fewer iterations than a cold start.
             let b2: Vec<f64> =
                 b.iter().enumerate().map(|(i, &v)| v * (1.0 + 1e-3 * (i % 7) as f64)).collect();
-            let warm2 = plan.solve_from(&b2, &mut ws).unwrap();
+            let warm2 = plan.solve_in_place(&b2, &mut ws, budget(usize::MAX, true)).unwrap();
             let cold2 = plan.solve(&b2).unwrap();
             assert!(warm2.converged());
             assert!(
@@ -1492,23 +1298,11 @@ mod tests {
         for step in 1..=3 {
             a_t = a_t.map_values(|v| v * (1.0 + 2e-3));
             current = current.refresh_values(&a_t).unwrap();
-            let stats = current.solve_from(&b, &mut ws).unwrap();
+            let stats = current.solve_in_place(&b, &mut ws, budget(usize::MAX, true)).unwrap();
             assert!(stats.converged(), "step {step} stop {:?}", stats.stop);
             let ax = spcg_sparse::spmv::spmv_alloc(&a_t, ws.solution());
             let err: f64 = ax.iter().zip(&b).map(|(p, q)| (p - q) * (p - q)).sum::<f64>().sqrt();
             assert!(err < 1e-6, "step {step} residual {err}");
         }
-    }
-
-    #[test]
-    fn into_outcome_preserves_analysis() {
-        let (a, b) = system(8);
-        let plan = SpcgPlan::build(&a, opts()).unwrap();
-        let wavefronts = plan.factors().total_wavefronts();
-        let result = plan.solve(&b).unwrap();
-        let outcome = plan.into_outcome(result);
-        assert!(outcome.decision.is_some());
-        assert_eq!(outcome.factors.total_wavefronts(), wavefronts);
-        assert!(outcome.result.converged());
     }
 }

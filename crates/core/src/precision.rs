@@ -9,7 +9,7 @@
 //! operator `M⁻¹A` — and when the reduced-precision application *stalls*
 //! the recurrence, the outer iterative-refinement loop restarts it on the
 //! exact full-precision residual (see
-//! [`pcg_refined_in_place_probed`](spcg_solver::pcg_refined_in_place_probed)).
+//! [`pcg_refined_in_place`](spcg_solver::pcg_refined_in_place)).
 //!
 //! [`PrecisionPolicy`] selects the tier per plan; `Auto` applies a cheap,
 //! deterministic representability rule to the factored matrix. The policy

@@ -44,8 +44,8 @@ use spcg_precond::{
     AinvPreconditioner, ExecutionStrategy, FsaiPreconditioner, IluFactors, Preconditioner,
     SaiPreconditioner,
 };
-use spcg_probe::{NoProbe, Probe};
-use spcg_solver::{pcg_in_place_probed, SolveWorkspace};
+use spcg_probe::Probe;
+use spcg_solver::{pcg_in_place, SolveCtx, SolveWorkspace};
 use spcg_sparse::{CsrMatrix, Rng, Scalar};
 use spcg_wavefront::ExecCostModel;
 
@@ -147,7 +147,7 @@ pub(crate) fn contraction_rho<T: Scalar, M: Preconditioner<T> + ?Sized>(
         .with_max_iters(RATE_PROBE_ITERS)
         .with_history(true);
     let mut ws = SolveWorkspace::for_preconditioner(n, m);
-    let Ok(stats) = pcg_in_place_probed(a, m, &b, &config, None, &mut ws, &mut NoProbe) else {
+    let Ok(stats) = pcg_in_place(a, m, &b, &config, &mut ws, SolveCtx::default()) else {
         return f64::INFINITY;
     };
     let history = ws.history();

@@ -40,15 +40,16 @@ use crate::pipeline::{build_preconditioner_probed, IluFill};
 use crate::plan::SpcgPlan;
 use crate::sparsify::sparsify_by_magnitude;
 use spcg_precond::{
-    shifted_factorization_probed, AinvPreconditioner, FactorKind, FsaiPreconditioner,
-    JacobiPreconditioner, Preconditioner, ShiftPolicy,
+    shifted_factorization_probed, AinvPreconditioner, FactorKind, FsaiPreconditioner, IluFactors,
+    JacobiPreconditioner, MixedPrecisionIlu, Preconditioner, ShiftPolicy,
 };
-use spcg_probe::{NoProbe, Probe, ProbeStop, RungEvent, RungKind, Span};
+use spcg_probe::{Probe, ProbeStop, RungEvent, RungKind, Span};
 use spcg_solver::{
-    pcg_with_workspace_probed, BreakdownKind, SolveFault, SolveResult, SolveWorkspace, SolverError,
+    pcg_in_place, BreakdownKind, SolveCtx, SolveFault, SolveResult, SolveWorkspace, SolverError,
     StopReason,
 };
 use spcg_sparse::Scalar;
+use std::borrow::Cow;
 
 /// One rung of the fallback ladder, from most to least aggressive.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -289,106 +290,85 @@ impl<T: Scalar> ResilientSolve<T> {
 }
 
 /// Outcome of building one rung's preconditioner.
-struct RungPrecond<T: Scalar> {
-    factors: RungFactors<T>,
+struct RungPrecond<'p, T: Scalar> {
+    factors: RungFactors<'p, T>,
     factorizations: usize,
     alpha: f64,
 }
 
-enum RungFactors<T: Scalar> {
-    // Boxed: `IluFactors` (two CSR matrices + two schedules) dwarfs the
-    // Jacobi variant, and a rung is built at most once per attempt.
-    Ilu(Box<spcg_precond::IluFactors<T>>),
+/// A rung's preconditioner: borrowed from the plan for the planned and
+/// promoted rungs (only an injected factor corruption clones it), built
+/// for the rung otherwise.
+enum RungFactors<'p, T: Scalar> {
+    /// The plan's own full-precision factors.
+    Resident(&'p IluFactors<T>),
+    /// Factors built for the rung, or a corrupted copy of the resident ones.
+    Ilu(Box<IluFactors<T>>),
     /// Reduced-precision factors, solved through the iterative-refinement
     /// driver (the planned attempt of a mixed plan).
-    Mixed(Box<spcg_precond::MixedPrecisionIlu<T>>),
+    Mixed(&'p MixedPrecisionIlu<T>),
     /// A level-free approximate inverse — the planned preconditioner of a
     /// level-free plan, or a freshly built FSAI on the family-switch rung.
-    Ainv(Box<AinvPreconditioner<T>>),
+    Ainv(Cow<'p, AinvPreconditioner<T>>),
     Jacobi(JacobiPreconditioner<T>),
 }
 
-impl<T: Scalar> SpcgPlan<T> {
-    /// [`solve`](SpcgPlan::solve) with the default fallback ladder: on a
-    /// runtime breakdown, the preconditioner is rebuilt progressively more
-    /// conservatively until the solve converges or the ladder is
-    /// exhausted.
-    pub fn solve_resilient(&self, b: &[T]) -> std::result::Result<ResilientSolve<T>, SolverError> {
-        let mut ws = self.make_workspace();
-        self.solve_resilient_with_workspace(b, &ResilienceOptions::default(), &mut ws)
+impl<'p, T: Scalar> RungPrecond<'p, T> {
+    /// An unshifted rung preconditioner that took `factorizations` to build.
+    fn new(factors: RungFactors<'p, T>, factorizations: usize) -> Self {
+        Self { factors, factorizations, alpha: 0.0 }
     }
+}
 
-    /// The full-control resilient solve: explicit ladder options and a
-    /// reusable workspace. The workspace is shared by every rung (the
-    /// buffers only ever grow), so a recovery costs no steady-state
-    /// allocations beyond the fallback factorizations themselves.
+impl<T: Scalar> SpcgPlan<T> {
+    /// Solves `A x = b` with the fallback ladder: on a runtime breakdown,
+    /// the preconditioner is rebuilt progressively more conservatively
+    /// until the solve converges or the ladder is exhausted. The workspace
+    /// is shared by every rung (the buffers only ever grow), so a recovery
+    /// costs no steady-state allocations beyond the fallback factorizations
+    /// themselves; afterwards `ws.solution()` holds the returned iterate,
+    /// in the caller's ordering.
+    ///
+    /// `probe` sees every ladder attempt bracketed in a
+    /// `Span::LadderAttempt` (containing the rung's rebuild factorization
+    /// spans and its solve loop) and reported as a [`RungEvent`] carrying
+    /// the rung kind, ratio/shift payloads, and stop classification —
+    /// including [`ProbeStop::Skipped`] events for rungs that could not be
+    /// built on this matrix. Pass [`NoProbe`](spcg_probe::NoProbe) for
+    /// none, or `&mut probe` to keep the probe.
     ///
     /// With no fault injected and a healthy plan, the result is bitwise
     /// identical to [`solve_with_workspace`](SpcgPlan::solve_with_workspace)
     /// and the report shows a single clean [`FallbackRung::Planned`]
     /// attempt.
-    pub fn solve_resilient_with_workspace(
+    pub fn solve_resilient<P: Probe>(
         &self,
         b: &[T],
         opts: &ResilienceOptions,
         ws: &mut SolveWorkspace<T>,
+        probe: P,
     ) -> std::result::Result<ResilientSolve<T>, SolverError> {
-        self.solve_resilient_with_workspace_probed(b, opts, ws, &mut NoProbe)
+        // Every rung refactors from the plan's operator, so the whole
+        // ladder runs in operator space, and the returned iterate goes back
+        // through the workspace to reach the caller's ordering.
+        let mut solve = self.in_operator_space(b, ws, false, |b, ws| {
+            let solve = self.ladder_in_operator_space(b, opts, ws, probe)?;
+            ws.solution_mut().copy_from_slice(&solve.result.x);
+            Ok(solve)
+        })?;
+        solve.result.x.copy_from_slice(ws.solution());
+        Ok(solve)
     }
 
-    /// [`solve_resilient_with_workspace`](SpcgPlan::solve_resilient_with_workspace)
-    /// with an observability [`Probe`]: every ladder attempt is bracketed in
-    /// a `Span::LadderAttempt` (containing the rung's rebuild factorization
-    /// spans and its solve loop) and reported as a [`RungEvent`] carrying
-    /// the rung kind, ratio/shift payloads, and stop classification —
-    /// including [`ProbeStop::Skipped`] events for rungs that could not be
-    /// built on this matrix.
-    pub fn solve_resilient_with_workspace_probed<P: Probe>(
+    /// The ladder itself, in operator space.
+    fn ladder_in_operator_space<P: Probe>(
         &self,
         b: &[T],
         opts: &ResilienceOptions,
         ws: &mut SolveWorkspace<T>,
-        probe: &mut P,
+        mut probe: P,
     ) -> std::result::Result<ResilientSolve<T>, SolverError> {
-        // The ladder works entirely in the plan's operator space: for a
-        // reordered plan, permute `b` once on the way in and the final
-        // iterate once on the way out — every rung (which refactors from
-        // the permuted system) then agrees with the planned factors about
-        // which ordering it lives in.
-        let Some(perm) = self.permutation() else {
-            return self.resilient_ladder_probed(b, opts, ws, probe);
-        };
-        let n = self.n();
-        if b.len() != n {
-            // Let the inner solver surface its canonical dimension error.
-            return self.resilient_ladder_probed(b, opts, ws, probe);
-        }
-        let mut buf = ws.take_staging(n);
-        for (k, &old) in perm.iter().enumerate() {
-            buf[k] = b[old];
-        }
-        let result = self.resilient_ladder_probed(&buf, opts, ws, probe).map(|mut s| {
-            for (k, &old) in perm.iter().enumerate() {
-                buf[old] = s.result.x[k];
-            }
-            std::mem::swap(&mut s.result.x, &mut buf);
-            s
-        });
-        ws.restore_staging(buf);
-        result
-    }
-
-    /// The ladder itself, in operator space (`b` and the returned iterate
-    /// are in the plan's factoring ordering; the public wrapper maps them
-    /// to and from the caller's ordering for reordered plans).
-    fn resilient_ladder_probed<P: Probe>(
-        &self,
-        b: &[T],
-        opts: &ResilienceOptions,
-        ws: &mut SolveWorkspace<T>,
-        probe: &mut P,
-    ) -> std::result::Result<ResilientSolve<T>, SolverError> {
-        let config = &self.options().solver;
+        let (operator, config) = (self.operator(), &self.options().solver);
         let mut report = RecoveryReport::default();
         // Track the best non-converged outcome so an exhausted ladder still
         // returns the least-bad iterate (degraded, never garbage).
@@ -399,7 +379,7 @@ impl<T: Scalar> SpcgPlan<T> {
             let (kind, ratio) = rung.probe_kind();
             let fault = opts.fault.filter(|f| f.active_for(attempt_idx));
             probe.span_begin(Span::LadderAttempt);
-            let Some(precond) = self.build_rung(rung, opts, fault, probe) else {
+            let Some(precond) = self.build_rung(rung, opts, fault, &mut probe) else {
                 probe.rung(RungEvent {
                     attempt: attempt_idx,
                     rung: kind,
@@ -410,50 +390,19 @@ impl<T: Scalar> SpcgPlan<T> {
                 probe.span_end(Span::LadderAttempt);
                 continue; // rung unbuildable on this matrix: climb down
             };
-            let solve_fault = fault.and_then(|f| f.solve_fault);
+            let ctx = SolveCtx {
+                fault: fault.and_then(|f| f.solve_fault),
+                ..SolveCtx::probed(&mut probe)
+            };
             let solved = match &precond.factors {
-                RungFactors::Ilu(f) => pcg_with_workspace_probed(
-                    self.operator(),
-                    f.as_ref(),
-                    b,
-                    config,
-                    solve_fault,
-                    ws,
-                    probe,
-                ),
-                RungFactors::Mixed(m) => self
-                    .solve_mixed_in_place_probed(
-                        self.operator(),
-                        m,
-                        b,
-                        solve_fault,
-                        usize::MAX,
-                        ws,
-                        probe,
-                    )
-                    .map(|refined| SolveResult {
-                        x: ws.solution().to_vec(),
-                        iterations: refined.stats.iterations,
-                        final_residual: refined.stats.final_residual,
-                        stop: refined.stats.stop,
-                        residual_history: ws.history().to_vec(),
-                        timings: refined.stats.timings,
-                    }),
-                RungFactors::Ainv(a) => pcg_with_workspace_probed(
-                    self.operator(),
-                    a.as_ref(),
-                    b,
-                    config,
-                    solve_fault,
-                    ws,
-                    probe,
-                ),
-                RungFactors::Jacobi(j) => {
-                    pcg_with_workspace_probed(self.operator(), j, b, config, solve_fault, ws, probe)
-                }
+                RungFactors::Resident(f) => pcg_in_place(operator, *f, b, config, ws, ctx),
+                RungFactors::Ilu(f) => pcg_in_place(operator, f.as_ref(), b, config, ws, ctx),
+                RungFactors::Mixed(m) => self.solve_mixed(m, b, ws, ctx).map(|r| r.stats),
+                RungFactors::Ainv(a) => pcg_in_place(operator, a.as_ref(), b, config, ws, ctx),
+                RungFactors::Jacobi(j) => pcg_in_place(operator, j, b, config, ws, ctx),
             };
             let result = match solved {
-                Ok(r) => r,
+                Ok(stats) => ws.to_result(stats),
                 Err(e) => {
                     probe.span_end(Span::LadderAttempt);
                     return Err(e);
@@ -493,38 +442,6 @@ impl<T: Scalar> SpcgPlan<T> {
 
         let result = best.expect("ladder always executes at least the Jacobi rung");
         Ok(ResilientSolve { result, report })
-    }
-
-    /// Batched resilient solves: each right-hand side runs the ladder
-    /// independently (one breakdown or malformed `b` never aborts the
-    /// batch), in parallel, with one workspace per worker. Results are in
-    /// input order.
-    pub fn solve_many_resilient<B: AsRef<[T]> + Sync>(
-        &self,
-        rhs: &[B],
-        opts: &ResilienceOptions,
-    ) -> Vec<std::result::Result<ResilientSolve<T>, SolverError>> {
-        if rhs.is_empty() {
-            return Vec::new();
-        }
-        let workers = rayon::current_num_threads().clamp(1, rhs.len());
-        let chunk_len = rhs.len().div_ceil(workers);
-        type Slot<T> = Option<std::result::Result<ResilientSolve<T>, SolverError>>;
-        let mut out: Vec<Slot<T>> = (0..rhs.len()).map(|_| None).collect();
-        rayon::scope(|s| {
-            for (slot, chunk) in out.chunks_mut(chunk_len).zip(rhs.chunks(chunk_len)) {
-                s.spawn(move |_| {
-                    let mut ws = self.make_workspace();
-                    for (cell, b) in slot.iter_mut().zip(chunk) {
-                        *cell =
-                            Some(self.solve_resilient_with_workspace(b.as_ref(), opts, &mut ws));
-                    }
-                });
-            }
-        });
-        out.into_iter()
-            .map(|r| r.expect("solve_many_resilient worker left a slot unfilled"))
-            .collect()
     }
 
     /// The rung sequence this plan would climb: planned factors (followed
@@ -570,54 +487,32 @@ impl<T: Scalar> SpcgPlan<T> {
         opts: &ResilienceOptions,
         fault: Option<FaultInjection>,
         probe: &mut P,
-    ) -> Option<RungPrecond<T>> {
+    ) -> Option<RungPrecond<'_, T>> {
         let kind = self.options().ilu_fill;
         let exec = self.options().exec;
         let built = match rung {
             FallbackRung::Planned => match (self.ainv(), self.mixed_factors()) {
                 // A level-free plan's own preconditioner is the resident
                 // approximate inverse.
-                (Some(ainv), _) => RungPrecond {
-                    factors: RungFactors::Ainv(Box::new(ainv.clone())),
-                    factorizations: 0,
-                    alpha: 0.0,
-                },
+                (Some(ainv), _) => RungPrecond::new(RungFactors::Ainv(Cow::Borrowed(ainv)), 0),
                 // A mixed plan's own preconditioner is the reduced-precision
                 // apply (under refinement) — that is what attempt 0 retries.
-                (None, Some(m)) => RungPrecond {
-                    factors: RungFactors::Mixed(Box::new(m.clone())),
-                    factorizations: 0,
-                    alpha: 0.0,
-                },
-                (None, None) => RungPrecond {
-                    factors: RungFactors::Ilu(Box::new(self.factors().clone())),
-                    factorizations: 0,
-                    alpha: 0.0,
-                },
+                (None, Some(m)) => RungPrecond::new(RungFactors::Mixed(m), 0),
+                (None, None) => RungPrecond::new(RungFactors::Resident(self.factors()), 0),
             },
-            FallbackRung::PromotePrecision => RungPrecond {
-                // The full factors are resident on every mixed plan:
-                // promotion costs zero factorizations.
-                factors: RungFactors::Ilu(Box::new(self.factors().clone())),
-                factorizations: 0,
-                alpha: 0.0,
-            },
+            // The full factors are resident on every mixed plan: promotion
+            // costs zero factorizations.
+            FallbackRung::PromotePrecision => {
+                RungPrecond::new(RungFactors::Resident(self.factors()), 0)
+            }
             FallbackRung::Resparsify(t) => {
                 let a_hat = sparsify_by_magnitude(self.operator(), t).a_hat;
                 let f = build_preconditioner_probed(&a_hat, kind, exec, probe).ok()?;
-                RungPrecond {
-                    factors: RungFactors::Ilu(Box::new(f)),
-                    factorizations: 1,
-                    alpha: 0.0,
-                }
+                RungPrecond::new(RungFactors::Ilu(Box::new(f)), 1)
             }
             FallbackRung::Unsparsified => {
                 let f = build_preconditioner_probed(self.operator(), kind, exec, probe).ok()?;
-                RungPrecond {
-                    factors: RungFactors::Ilu(Box::new(f)),
-                    factorizations: 1,
-                    alpha: 0.0,
-                }
+                RungPrecond::new(RungFactors::Ilu(Box::new(f)), 1)
             }
             FallbackRung::Shifted => {
                 let fk = match kind {
@@ -640,15 +535,11 @@ impl<T: Scalar> SpcgPlan<T> {
             }
             FallbackRung::Fsai => {
                 let f = FsaiPreconditioner::new(self.operator()).ok()?;
-                RungPrecond {
-                    factors: RungFactors::Ainv(Box::new(AinvPreconditioner::Fsai(f))),
-                    factorizations: 1,
-                    alpha: 0.0,
-                }
+                RungPrecond::new(RungFactors::Ainv(Cow::Owned(AinvPreconditioner::Fsai(f))), 1)
             }
             FallbackRung::Jacobi => {
                 let j = JacobiPreconditioner::new(self.operator()).ok()?;
-                RungPrecond { factors: RungFactors::Jacobi(j), factorizations: 0, alpha: 0.0 }
+                RungPrecond::new(RungFactors::Jacobi(j), 0)
             }
         };
         Some(self.corrupt(built, fault))
@@ -656,35 +547,39 @@ impl<T: Scalar> SpcgPlan<T> {
 
     /// Applies active factor-corruption faults to a built rung. Corruption
     /// only targets stored entries; faults aimed at absent entries (or at
-    /// the factor-free Jacobi rung) are no-ops.
-    fn corrupt(&self, mut built: RungPrecond<T>, fault: Option<FaultInjection>) -> RungPrecond<T> {
+    /// the factor-free Jacobi rung) are no-ops. Resident factors are cloned
+    /// only when a corruption actually applies.
+    fn corrupt<'p>(
+        &self,
+        mut built: RungPrecond<'p, T>,
+        fault: Option<FaultInjection>,
+    ) -> RungPrecond<'p, T> {
         let Some(f) = fault else { return built };
-        built.factors = match built.factors {
-            RungFactors::Ilu(boxed) => {
-                let mut factors = *boxed;
-                if let Some(row) = f.zero_pivot_row {
-                    if row < factors.dim() {
-                        factors = factors.with_zeroed_pivot(row);
-                    }
-                }
-                if let Some((row, col, scale)) = f.scale_entry {
-                    let present = row < factors.dim()
-                        && if col < row {
-                            factors.l().get(row, col).is_some()
-                        } else {
-                            factors.u().get(row, col).is_some()
-                        };
-                    if present {
-                        factors = factors.with_scaled_entry(row, col, scale);
-                    }
-                }
-                RungFactors::Ilu(Box::new(factors))
-            }
+        let factors = match &built.factors {
+            RungFactors::Resident(factors) => *factors,
+            RungFactors::Ilu(factors) => factors.as_ref(),
             // Factor corruption targets full-precision stored entries; the
             // mixed rung is poisoned through the solve fault instead, and
             // Jacobi has no factors to corrupt.
-            other => other,
+            _ => return built,
         };
+        let n = factors.dim();
+        let pivot = f.zero_pivot_row.filter(|&row| row < n);
+        let entry = f.scale_entry.filter(|&(row, col, _)| {
+            let triangle = if col < row { factors.l() } else { factors.u() };
+            row < n && triangle.get(row, col).is_some()
+        });
+        if pivot.is_none() && entry.is_none() {
+            return built;
+        }
+        let mut corrupted = factors.clone();
+        if let Some(row) = pivot {
+            corrupted = corrupted.with_zeroed_pivot(row);
+        }
+        if let Some((row, col, scale)) = entry {
+            corrupted = corrupted.with_scaled_entry(row, col, scale);
+        }
+        built.factors = RungFactors::Ilu(Box::new(corrupted));
         built
     }
 }
@@ -693,6 +588,7 @@ impl<T: Scalar> SpcgPlan<T> {
 mod tests {
     use super::*;
     use crate::pipeline::SpcgOptions;
+    use spcg_probe::NoProbe;
     use spcg_solver::SolverConfig;
     use spcg_sparse::generators::{poisson_2d, with_magnitude_spread};
     use spcg_sparse::{CsrMatrix, Rng};
@@ -717,9 +613,8 @@ mod tests {
         let plan = SpcgPlan::build(&a, opts()).unwrap();
         let mut ws = plan.make_workspace();
         let plain = plan.solve_with_workspace(&b, &mut ws).unwrap();
-        let resilient = plan
-            .solve_resilient_with_workspace(&b, &ResilienceOptions::default(), &mut ws)
-            .unwrap();
+        let resilient =
+            plan.solve_resilient(&b, &ResilienceOptions::default(), &mut ws, NoProbe).unwrap();
         assert_eq!(plain.x, resilient.result.x);
         assert_eq!(plain.residual_history, resilient.result.residual_history);
         assert_eq!(plain.iterations, resilient.result.iterations);
@@ -735,7 +630,7 @@ mod tests {
         let ropts =
             ResilienceOptions { fault: Some(FaultInjection::nan_at(2)), ..Default::default() };
         let mut ws = plan.make_workspace();
-        let r = plan.solve_resilient_with_workspace(&b, &ropts, &mut ws).unwrap();
+        let r = plan.solve_resilient(&b, &ropts, &mut ws, NoProbe).unwrap();
         assert!(r.converged(), "ladder must recover: {:?}", r.report);
         assert_eq!(r.report.cause(), Some(BreakdownKind::Nan));
         assert_eq!(r.report.attempts.len(), 2, "one retry: {:?}", r.report.rungs());
@@ -752,8 +647,7 @@ mod tests {
             fault: Some(FaultInjection::zeroed_pivot(5)),
             ..Default::default()
         };
-        let r =
-            plan.solve_resilient_with_workspace(&b, &ropts, &mut plan.make_workspace()).unwrap();
+        let r = plan.solve_resilient(&b, &ropts, &mut plan.make_workspace(), NoProbe).unwrap();
         assert!(r.converged(), "report: {:?}", r.report);
         assert!(r.report.attempts.len() >= 2);
         assert!(
@@ -773,8 +667,7 @@ mod tests {
             fault: Some(FaultInjection::corrupted_entry(7, 7, 1e12)),
             ..Default::default()
         };
-        let r =
-            plan.solve_resilient_with_workspace(&b, &ropts, &mut plan.make_workspace()).unwrap();
+        let r = plan.solve_resilient(&b, &ropts, &mut plan.make_workspace(), NoProbe).unwrap();
         assert!(r.converged(), "report: {:?}", r.report);
     }
 
@@ -788,8 +681,7 @@ mod tests {
             fault: Some(FaultInjection::nan_at(0).persist_for(n_rungs - 1)),
             ..Default::default()
         };
-        let r =
-            plan.solve_resilient_with_workspace(&b, &ropts, &mut plan.make_workspace()).unwrap();
+        let r = plan.solve_resilient(&b, &ropts, &mut plan.make_workspace(), NoProbe).unwrap();
         assert!(r.converged(), "report: {:?}", r.report);
         assert_eq!(r.report.attempts.len(), n_rungs);
         assert_eq!(r.report.attempts.last().unwrap().rung, FallbackRung::Jacobi);
@@ -807,8 +699,7 @@ mod tests {
             fault: Some(FaultInjection::nan_at(0).persist_for(usize::MAX)),
             ..Default::default()
         };
-        let r =
-            plan.solve_resilient_with_workspace(&b, &ropts, &mut plan.make_workspace()).unwrap();
+        let r = plan.solve_resilient(&b, &ropts, &mut plan.make_workspace(), NoProbe).unwrap();
         assert!(!r.converged());
         assert!(!r.report.recovered());
         let bound = plan.ladder(&ropts).len();
@@ -851,19 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_many_resilient_isolates_failures() {
-        let (a, b) = system(9);
-        let plan = SpcgPlan::build(&a, opts()).unwrap();
-        // Batch of three: healthy, wrong length, healthy.
-        let rhs: Vec<Vec<f64>> = vec![b.clone(), vec![1.0; 3], b.clone()];
-        let out = plan.solve_many_resilient(&rhs, &ResilienceOptions::default());
-        assert_eq!(out.len(), 3);
-        assert!(out[0].as_ref().unwrap().converged());
-        assert!(out[1].is_err(), "malformed rhs must fail alone");
-        assert!(out[2].as_ref().unwrap().converged());
-    }
-
-    #[test]
     fn report_accounting_sums_attempts() {
         let (a, b) = system(10);
         let plan = SpcgPlan::build(&a, opts()).unwrap();
@@ -871,8 +749,7 @@ mod tests {
             fault: Some(FaultInjection::nan_at(3).persist_for(2)),
             ..Default::default()
         };
-        let r =
-            plan.solve_resilient_with_workspace(&b, &ropts, &mut plan.make_workspace()).unwrap();
+        let r = plan.solve_resilient(&b, &ropts, &mut plan.make_workspace(), NoProbe).unwrap();
         assert!(r.converged());
         assert_eq!(r.report.attempts.len(), 3);
         let total: usize = r.report.attempts.iter().map(|a| a.iterations).sum();
@@ -907,8 +784,7 @@ mod tests {
             fault: Some(FaultInjection::nan_at(0).persist_for(fsai_pos)),
             ..Default::default()
         };
-        let r =
-            plan.solve_resilient_with_workspace(&b, &ropts, &mut plan.make_workspace()).unwrap();
+        let r = plan.solve_resilient(&b, &ropts, &mut plan.make_workspace(), NoProbe).unwrap();
         assert!(r.converged(), "report: {:?}", r.report);
         assert_eq!(r.report.attempts.last().unwrap().rung, FallbackRung::Fsai);
         assert_eq!(r.report.attempts.last().unwrap().factorizations, 1);
@@ -930,8 +806,7 @@ mod tests {
             fault: Some(FaultInjection::nan_at(0).persist_for(ladder.len() - 1)),
             ..Default::default()
         };
-        let r =
-            plan.solve_resilient_with_workspace(&b, &ropts, &mut plan.make_workspace()).unwrap();
+        let r = plan.solve_resilient(&b, &ropts, &mut plan.make_workspace(), NoProbe).unwrap();
         assert!(r.converged(), "report: {:?}", r.report);
         assert_eq!(r.report.attempts.first().unwrap().rung, FallbackRung::Planned);
         assert_eq!(r.report.attempts.last().unwrap().rung, FallbackRung::Jacobi);
@@ -965,7 +840,7 @@ mod tests {
         let ropts =
             ResilienceOptions { fault: Some(FaultInjection::stall_at(2)), ..Default::default() };
         let mut ws = plan.make_workspace();
-        let r = plan.solve_resilient_with_workspace(&b, &ropts, &mut ws).unwrap();
+        let r = plan.solve_resilient(&b, &ropts, &mut ws, NoProbe).unwrap();
         assert!(r.converged(), "report: {:?}", r.report);
         assert_eq!(
             r.report.cause(),
@@ -991,9 +866,8 @@ mod tests {
         let plan = SpcgPlan::build(&a, opts().with_precision(PrecisionPolicy::MixedF32)).unwrap();
         let mut ws = plan.make_workspace();
         let plain = plan.solve_with_workspace(&b, &mut ws).unwrap();
-        let resilient = plan
-            .solve_resilient_with_workspace(&b, &ResilienceOptions::default(), &mut ws)
-            .unwrap();
+        let resilient =
+            plan.solve_resilient(&b, &ResilienceOptions::default(), &mut ws, NoProbe).unwrap();
         assert_eq!(plain.x, resilient.result.x);
         assert!(resilient.report.clean());
         assert_eq!(resilient.report.rungs(), vec![FallbackRung::Planned]);

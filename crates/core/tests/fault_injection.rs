@@ -5,7 +5,8 @@
 //! must degrade into typed errors, never panics, on malformed input.
 
 use spcg_core::{FallbackRung, FaultInjection, ResilienceOptions, SpcgOptions, SpcgPlan};
-use spcg_solver::{BreakdownKind, SolverConfig, SolverError, StopReason};
+use spcg_probe::NoProbe;
+use spcg_solver::{BreakdownKind, SolveCtx, SolverConfig, SolverError, StopReason};
 use spcg_sparse::{CooMatrix, CsrMatrix};
 use spcg_suite::fast_collection;
 
@@ -59,7 +60,7 @@ fn nan_fault_recovers_across_suite_matrices() {
         let ropts =
             ResilienceOptions { fault: Some(FaultInjection::nan_at(1)), ..Default::default() };
         let mut ws = plan.make_workspace();
-        let r = plan.solve_resilient_with_workspace(&b, &ropts, &mut ws).unwrap();
+        let r = plan.solve_resilient(&b, &ropts, &mut ws, NoProbe).unwrap();
         assert!(r.converged(), "{name}: must recover from a NaN fault: {:?}", r.report);
         assert_eq!(r.report.cause(), Some(BreakdownKind::Nan), "{name}");
         assert_eq!(r.report.attempts.len(), 2, "{name}: one fallback suffices");
@@ -77,7 +78,7 @@ fn zeroed_pivot_recovers_across_suite_matrices() {
             ..Default::default()
         };
         let mut ws = plan.make_workspace();
-        let r = plan.solve_resilient_with_workspace(&b, &ropts, &mut ws).unwrap();
+        let r = plan.solve_resilient(&b, &ropts, &mut ws, NoProbe).unwrap();
         assert!(r.converged(), "{name}: must recover from a zeroed pivot: {:?}", r.report);
         assert!(r.report.attempts.len() >= 2, "{name}: the fault must actually bite");
         assert!(
@@ -99,7 +100,7 @@ fn corrupted_factor_entry_recovers_across_suite_matrices() {
             ..Default::default()
         };
         let mut ws = plan.make_workspace();
-        let r = plan.solve_resilient_with_workspace(&b, &ropts, &mut ws).unwrap();
+        let r = plan.solve_resilient(&b, &ropts, &mut ws, NoProbe).unwrap();
         assert!(r.converged(), "{name}: must recover from a corrupted pivot: {:?}", r.report);
         assert_rungs_are_ladder_prefix(&name, &plan, &ropts, &r.report.rungs());
     }
@@ -115,7 +116,7 @@ fn persistent_fault_descends_to_jacobi_and_recovers() {
         ..Default::default()
     };
     let mut ws = plan.make_workspace();
-    let r = plan.solve_resilient_with_workspace(&b, &ropts, &mut ws).unwrap();
+    let r = plan.solve_resilient(&b, &ropts, &mut ws, NoProbe).unwrap();
     assert!(r.converged(), "{name}: the Jacobi rung must still converge: {:?}", r.report);
     assert_eq!(r.report.rungs(), plan.ladder(&ropts), "{name}: full descent, in order");
     assert_eq!(r.report.attempts.last().unwrap().rung, FallbackRung::Jacobi, "{name}");
@@ -139,7 +140,7 @@ fn stalled_mixed_precond_promotes_precision_across_suite_matrices() {
         let ropts =
             ResilienceOptions { fault: Some(FaultInjection::stall_at(1)), ..Default::default() };
         let mut ws = plan.make_workspace();
-        let r = plan.solve_resilient_with_workspace(&b, &ropts, &mut ws).unwrap();
+        let r = plan.solve_resilient(&b, &ropts, &mut ws, NoProbe).unwrap();
         assert!(r.converged(), "{name}: must recover from a precision stall: {:?}", r.report);
         assert_eq!(
             r.report.rungs(),
@@ -173,7 +174,7 @@ fn recovered_solution_matches_the_clean_one() {
     let clean = plan.solve(&b).unwrap();
     let ropts = ResilienceOptions { fault: Some(FaultInjection::nan_at(1)), ..Default::default() };
     let mut ws = plan.make_workspace();
-    let r = plan.solve_resilient_with_workspace(&b, &ropts, &mut ws).unwrap();
+    let r = plan.solve_resilient(&b, &ropts, &mut ws, NoProbe).unwrap();
     let norm = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>().sqrt();
     let diff: Vec<f64> = clean.x.iter().zip(&r.result.x).map(|(c, f)| c - f).collect();
     assert!(
@@ -194,20 +195,16 @@ fn malformed_inputs_error_instead_of_panicking() {
 
     assert!(matches!(plan.solve(&short), Err(SolverError::RhsLength { .. })));
     assert!(matches!(plan.solve(&[]), Err(SolverError::RhsLength { .. })));
-    assert!(plan.solve_resilient(&short).is_err());
-    assert!(plan.solve_resilient(&[]).is_err());
+    let ropts = ResilienceOptions::default();
+    assert!(plan.solve_resilient(&short, &ropts, &mut plan.make_workspace(), NoProbe).is_err());
+    assert!(plan.solve_resilient(&[], &ropts, &mut plan.make_workspace(), NoProbe).is_err());
     let mut ws = plan.make_workspace();
     assert!(plan.solve_with_workspace(&short, &mut ws).is_err());
-    assert!(plan.solve_in_place(&short, &mut ws).is_err());
-    assert!(plan
-        .solve_resilient_with_workspace(&short, &ResilienceOptions::default(), &mut ws)
-        .is_err());
+    assert!(plan.solve_in_place(&short, &mut ws, SolveCtx::default()).is_err());
+    assert!(plan.solve_resilient(&short, &ropts, &mut ws, NoProbe).is_err());
 
     // Batched: the bad entry fails alone, its neighbours still solve.
     let out = plan.solve_many(&[b.clone(), short.clone(), b.clone()]);
-    assert!(out[0].is_ok() && out[1].is_err() && out[2].is_ok());
-    let out =
-        plan.solve_many_resilient(&[b.clone(), short, b.clone()], &ResilienceOptions::default());
     assert!(out[0].is_ok() && out[1].is_err() && out[2].is_ok());
 
     // Non-square operators are rejected at plan-build time.
@@ -235,7 +232,9 @@ fn non_finite_rhs_is_reported_not_propagated_silently() {
     );
     // And the resilient path gives up cleanly: every rung sees the same
     // poisoned rhs, the ladder stays bounded, and a report comes back.
-    let solve = plan.solve_resilient(&bad).unwrap();
+    let solve = plan
+        .solve_resilient(&bad, &ResilienceOptions::default(), &mut plan.make_workspace(), NoProbe)
+        .unwrap();
     assert!(!solve.converged());
     assert!(!solve.report.recovered());
 }

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use spcg_core::pipeline::SpcgOptions;
 use spcg_core::{ResilienceOptions, SpcgPlan};
 use spcg_probe::{Counter, ProbeStop, RecordingProbe, RunTrace, RungKind, Span, SpanRecord};
-use spcg_solver::{SolveResult, SolverConfig};
+use spcg_solver::{SolveCtx, SolveResult, SolverConfig};
 use spcg_sparse::generators::{random_spd, with_magnitude_spread};
 use spcg_sparse::{CsrMatrix, Rng};
 use spcg_suite::fast_collection;
@@ -29,8 +29,8 @@ fn record_run(
     let mut probe = RecordingProbe::new();
     let plan = SpcgPlan::build_probed(a, opts, &mut probe).expect("plan build");
     let mut ws = plan.make_workspace();
-    let result = plan.solve_with_workspace_probed(b, &mut ws, &mut probe).expect("solve");
-    (plan, result, probe.finish())
+    let stats = plan.solve_in_place(b, &mut ws, SolveCtx::probed(&mut probe)).expect("solve");
+    (plan, ws.to_result(stats), probe.finish())
 }
 
 fn records_of(trace: &RunTrace, span: Span) -> Vec<SpanRecord> {
@@ -141,14 +141,8 @@ fn resilient_ladder_emits_rung_events() {
     let plan = SpcgPlan::build(&a, SpcgOptions::default()).unwrap();
     let mut ws = plan.make_workspace();
     let mut probe = RecordingProbe::new();
-    let solve = plan
-        .solve_resilient_with_workspace_probed(
-            &b,
-            &ResilienceOptions::default(),
-            &mut ws,
-            &mut probe,
-        )
-        .unwrap();
+    let solve =
+        plan.solve_resilient(&b, &ResilienceOptions::default(), &mut ws, &mut probe).unwrap();
     assert!(solve.result.converged());
     let trace = probe.finish();
     trace.validate_nesting().unwrap();

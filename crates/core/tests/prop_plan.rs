@@ -1,23 +1,29 @@
 //! Property-based tests of the plan/execute split: a reusable [`SpcgPlan`]
-//! must be an exact drop-in for the one-shot pipeline on randomized
+//! must be an exact drop-in for the layer-by-layer pipeline on randomized
 //! operators, options, and right-hand sides.
 
-// The whole point of this suite is to pin the deprecated one-shot path
-// against the plan API bit for bit.
-#![allow(deprecated)]
-
 use proptest::prelude::*;
-use spcg_core::pipeline::{spcg_solve, IluFill, SpcgOptions};
-use spcg_core::SpcgPlan;
-use spcg_solver::SolverConfig;
+use spcg_core::pipeline::{build_preconditioner, IluFill, SpcgOptions};
+use spcg_core::{wavefront_aware_sparsify, SpcgPlan};
+use spcg_solver::{pcg, SolveCtx, SolveResult, SolverConfig};
 use spcg_sparse::generators::{random_spd, with_magnitude_spread};
-use spcg_sparse::Rng;
+use spcg_sparse::{CsrMatrix, Rng};
 
-fn random_system(n: usize, seed: u64) -> (spcg_sparse::CsrMatrix<f64>, Vec<f64>) {
+fn random_system(n: usize, seed: u64) -> (CsrMatrix<f64>, Vec<f64>) {
     let a = with_magnitude_spread(&random_spd(n, 4, 1.5, seed), 5.0, seed ^ 3);
     let mut rng = Rng::new(seed ^ 0xb0b);
     let b = (0..n).map(|_| rng.range(-1.0, 1.0)).collect();
     (a, b)
+}
+
+/// The Figure-2 pipeline composed from the layer below the plan:
+/// Algorithm 2, then the factorization of `Â`, then PCG on the original
+/// `A`. Returns the solve and the chosen drop ratio.
+fn layered(a: &CsrMatrix<f64>, b: &[f64], opts: &SpcgOptions) -> (SolveResult<f64>, Option<f64>) {
+    let decision = opts.sparsify.as_ref().map(|params| wavefront_aware_sparsify(a, params));
+    let m = decision.as_ref().map_or(a, |d| &d.sparsified.a_hat);
+    let factors = build_preconditioner(m, opts.ilu_fill, opts.exec).unwrap();
+    (pcg(a, &factors, b, &opts.solver).unwrap(), decision.map(|d| d.chosen_ratio))
 }
 
 fn options(sparsify: bool, k: usize, history: bool) -> SpcgOptions {
@@ -32,11 +38,11 @@ fn options(sparsify: bool, k: usize, history: bool) -> SpcgOptions {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// `SpcgPlan::build` + `solve` is bitwise identical to the legacy
-    /// one-shot `spcg_solve` — same iterate, same residual trajectory, same
-    /// analysis decision — for every operator/options combination.
+    /// `SpcgPlan::build` + `solve` is bitwise identical to the pipeline
+    /// composed layer by layer — same iterate, same residual trajectory,
+    /// same analysis decision — for every operator/options combination.
     #[test]
-    fn plan_solve_is_bitwise_identical_to_spcg_solve(
+    fn plan_solve_is_bitwise_identical_to_the_layered_pipeline(
         n in 20usize..80,
         seed in 0u64..300,
         sparsify in any::<bool>(),
@@ -44,17 +50,14 @@ proptest! {
     ) {
         let (a, b) = random_system(n, seed);
         let opts = options(sparsify, k, true);
-        let legacy = spcg_solve(&a, &b, &opts).unwrap();
+        let (reference, chosen_ratio) = layered(&a, &b, &opts);
         let plan = SpcgPlan::build(&a, &opts).unwrap();
         let result = plan.solve(&b).unwrap();
-        prop_assert_eq!(&legacy.result.x, &result.x);
-        prop_assert_eq!(&legacy.result.residual_history, &result.residual_history);
-        prop_assert_eq!(legacy.result.iterations, result.iterations);
-        prop_assert_eq!(legacy.result.stop, result.stop);
-        prop_assert_eq!(
-            legacy.decision.map(|d| d.chosen_ratio),
-            plan.decision().map(|d| d.chosen_ratio)
-        );
+        prop_assert_eq!(&reference.x, &result.x);
+        prop_assert_eq!(&reference.residual_history, &result.residual_history);
+        prop_assert_eq!(reference.iterations, result.iterations);
+        prop_assert_eq!(reference.stop, result.stop);
+        prop_assert_eq!(chosen_ratio, plan.decision().map(|d| d.chosen_ratio));
     }
 
     /// One plan solving a batch of right-hand sides via `solve_many` gives
@@ -81,15 +84,15 @@ proptest! {
             prop_assert_eq!(batched[i].iterations, solo.iterations);
             prop_assert_eq!(batched[i].stop, solo.stop);
         }
-        // ...and each matches the legacy one-shot pipeline too.
-        let solo_legacy = spcg_solve(&a, &rhs[0], &opts).unwrap();
-        prop_assert_eq!(&batched[0].x, &solo_legacy.result.x);
+        // ...and each matches the layered pipeline too.
+        let (solo_layered, _) = layered(&a, &rhs[0], &opts);
+        prop_assert_eq!(&batched[0].x, &solo_layered.x);
     }
 
     /// `refresh_values` with the *unchanged* matrix is a bitwise no-op: the
     /// refreshed plan reproduces the original's iterate, residual
-    /// trajectory, iteration count, and stop reason exactly — and a
-    /// `solve_from` warm start on a zeroed workspace equals the cold solve.
+    /// trajectory, iteration count, and stop reason exactly — and a warm
+    /// start on a zeroed workspace equals the cold solve.
     #[test]
     fn refresh_with_unchanged_values_is_bitwise_identical(
         n in 20usize..80,
@@ -110,7 +113,8 @@ proptest! {
         // A fresh workspace holds x0 = 0, so the "warm" start from it must
         // be the cold solve, bit for bit.
         let mut ws = refreshed.make_workspace();
-        let stats = refreshed.solve_from(&b, &mut ws).unwrap();
+        let warm = SolveCtx { warm: true, ..SolveCtx::default() };
+        let stats = refreshed.solve_in_place(&b, &mut ws, warm).unwrap();
         prop_assert_eq!(ws.solution(), &re.x[..]);
         prop_assert_eq!(stats.iterations, re.iterations);
     }

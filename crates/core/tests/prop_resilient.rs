@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use spcg_core::pipeline::{IluFill, SpcgOptions};
 use spcg_core::{FaultInjection, ResilienceOptions, SpcgPlan};
 use spcg_precond::{shifted_factorization, ExecutionStrategy, FactorKind, ShiftPolicy};
+use spcg_probe::NoProbe;
 use spcg_solver::SolverConfig;
 use spcg_sparse::generators::{random_spd, with_magnitude_spread};
 use spcg_sparse::Rng;
@@ -30,8 +31,8 @@ fn options(sparsify: bool, k: usize) -> SpcgOptions {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// With no fault injected, `solve_resilient_with_workspace` is bitwise
-    /// identical to `solve_with_workspace` on every healthy operator: the
+    /// With no fault injected, `solve_resilient` is bitwise identical to
+    /// `solve_with_workspace` on every healthy operator: the
     /// guards are comparisons only and attempt 0 uses the plan's own
     /// factors.
     #[test]
@@ -45,9 +46,8 @@ proptest! {
         let plan = SpcgPlan::build(&a, options(sparsify, k)).unwrap();
         let mut ws = plan.make_workspace();
         let plain = plan.solve_with_workspace(&b, &mut ws).unwrap();
-        let resilient = plan
-            .solve_resilient_with_workspace(&b, &ResilienceOptions::default(), &mut ws)
-            .unwrap();
+        let resilient =
+            plan.solve_resilient(&b, &ResilienceOptions::default(), &mut ws, NoProbe).unwrap();
         prop_assert_eq!(&plain.x, &resilient.result.x);
         prop_assert_eq!(&plain.residual_history, &resilient.result.residual_history);
         prop_assert_eq!(plain.iterations, resilient.result.iterations);
@@ -78,7 +78,7 @@ proptest! {
         let ropts = ResilienceOptions { fault: Some(fault), ..Default::default() };
         let bound = plan.ladder(&ropts).len();
         let mut ws = plan.make_workspace();
-        let r = plan.solve_resilient_with_workspace(&b, &ropts, &mut ws).unwrap();
+        let r = plan.solve_resilient(&b, &ropts, &mut ws, NoProbe).unwrap();
         prop_assert!(!r.report.attempts.is_empty());
         prop_assert!(
             r.report.attempts.len() <= bound,

@@ -5,34 +5,49 @@
 //! preconditioner applications, and residual-history recording.
 //!
 //! This lives in its own integration-test binary so the `#[global_allocator]`
-//! does not interfere with any other test.
+//! does not interfere with any other test. Allocations are counted per
+//! thread: libtest runs the tests on parallel threads, and every measured
+//! region runs on its test's own thread, so another test's allocations
+//! never land in it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use spcg_core::{SpcgOptions, SpcgPlan};
-use spcg_solver::SolverConfig;
+use spcg_solver::{SolveCtx, SolverConfig};
 use spcg_sparse::generators::{poisson_2d, with_magnitude_spread};
 use spcg_sparse::Rng;
 
 /// Counts every allocation request routed through the global allocator.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialised and free of destructors: touching it from inside
+    // the allocator never allocates and never registers a TLS destructor.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
+fn count_allocation() {
+    // `try_with` stays silent if a thread allocates during its teardown.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments to `System` unchanged and
+// returns its result; counting touches only a thread-local `Cell`, which
+// neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -44,8 +59,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocation_count() -> usize {
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
@@ -67,14 +83,16 @@ fn warm_in_place_solves_do_not_allocate() {
         (0..4).map(|_| (0..a.n_rows()).map(|_| rng.range(-1.0, 1.0)).collect()).collect();
 
     // Warm-up: sizes every buffer and reserves the history capacity.
-    let warm = plan.solve_in_place(&rhs[0], &mut ws).expect("well-formed system");
+    let warm =
+        plan.solve_in_place(&rhs[0], &mut ws, SolveCtx::default()).expect("well-formed system");
     assert!(warm.converged(), "warm-up failed: {:?}", warm.stop);
 
     let before = allocation_count();
     for b in &rhs {
         // `SolveStats` and `SolverError` are both `Copy`: unwrapping the
         // result stays allocation-free.
-        let stats = plan.solve_in_place(b, &mut ws).expect("well-formed system");
+        let stats =
+            plan.solve_in_place(b, &mut ws, SolveCtx::default()).expect("well-formed system");
         assert!(stats.converged(), "solve failed: {:?}", stats.stop);
         assert!(stats.iterations > 0, "trivial solve would not exercise the loop");
     }
@@ -109,12 +127,14 @@ fn warm_reordered_solves_do_not_allocate() {
     let rhs: Vec<Vec<f64>> =
         (0..4).map(|_| (0..a.n_rows()).map(|_| rng.range(-1.0, 1.0)).collect()).collect();
 
-    let warm = plan.solve_in_place(&rhs[0], &mut ws).expect("well-formed system");
+    let warm =
+        plan.solve_in_place(&rhs[0], &mut ws, SolveCtx::default()).expect("well-formed system");
     assert!(warm.converged(), "warm-up failed: {:?}", warm.stop);
 
     let before = allocation_count();
     for b in &rhs {
-        let stats = plan.solve_in_place(b, &mut ws).expect("well-formed system");
+        let stats =
+            plan.solve_in_place(b, &mut ws, SolveCtx::default()).expect("well-formed system");
         assert!(stats.converged(), "reordered solve failed: {:?}", stats.stop);
     }
     let after = allocation_count();
@@ -150,12 +170,14 @@ fn warm_dependency_block_solves_do_not_allocate() {
     let rhs: Vec<Vec<f64>> =
         (0..4).map(|_| (0..a.n_rows()).map(|_| rng.range(-1.0, 1.0)).collect()).collect();
 
-    let warm = plan.solve_in_place(&rhs[0], &mut ws).expect("well-formed system");
+    let warm =
+        plan.solve_in_place(&rhs[0], &mut ws, SolveCtx::default()).expect("well-formed system");
     assert!(warm.converged(), "warm-up failed: {:?}", warm.stop);
 
     let before = allocation_count();
     for b in &rhs {
-        let stats = plan.solve_in_place(b, &mut ws).expect("well-formed system");
+        let stats =
+            plan.solve_in_place(b, &mut ws, SolveCtx::default()).expect("well-formed system");
         assert!(stats.converged(), "dependency-block solve failed: {:?}", stats.stop);
         assert!(stats.iterations > 0, "trivial solve would not exercise the loop");
     }
@@ -192,12 +214,14 @@ fn warm_mixed_precision_solves_do_not_allocate() {
     let rhs: Vec<Vec<f64>> =
         (0..4).map(|_| (0..a.n_rows()).map(|_| rng.range(-1.0, 1.0)).collect()).collect();
 
-    let warm = plan.solve_in_place(&rhs[0], &mut ws).expect("well-formed system");
+    let warm =
+        plan.solve_in_place(&rhs[0], &mut ws, SolveCtx::default()).expect("well-formed system");
     assert!(warm.converged(), "warm-up failed: {:?}", warm.stop);
 
     let before = allocation_count();
     for b in &rhs {
-        let stats = plan.solve_in_place(b, &mut ws).expect("well-formed system");
+        let stats =
+            plan.solve_in_place(b, &mut ws, SolveCtx::default()).expect("well-formed system");
         assert!(stats.converged(), "mixed solve failed: {:?}", stats.stop);
         assert!(stats.iterations > 0, "trivial solve would not exercise the loop");
     }
@@ -309,17 +333,17 @@ fn workspace_growth_allocates_then_settles() {
     let b_l = vec![1.0f64; large.n_rows()];
 
     let mut ws = plan_s.make_workspace();
-    plan_s.solve_in_place(&b_s, &mut ws).unwrap();
+    plan_s.solve_in_place(&b_s, &mut ws, SolveCtx::default()).unwrap();
 
     // First visit to the larger system must grow the buffers.
     let before_growth = allocation_count();
-    plan_l.solve_in_place(&b_l, &mut ws).unwrap();
+    plan_l.solve_in_place(&b_l, &mut ws, SolveCtx::default()).unwrap();
     assert!(allocation_count() > before_growth, "growth should allocate");
 
     // From here on, alternating sizes stays allocation-free.
     let before = allocation_count();
-    plan_s.solve_in_place(&b_s, &mut ws).unwrap();
-    plan_l.solve_in_place(&b_l, &mut ws).unwrap();
-    plan_s.solve_in_place(&b_s, &mut ws).unwrap();
+    plan_s.solve_in_place(&b_s, &mut ws, SolveCtx::default()).unwrap();
+    plan_l.solve_in_place(&b_l, &mut ws, SolveCtx::default()).unwrap();
+    plan_s.solve_in_place(&b_s, &mut ws, SolveCtx::default()).unwrap();
     assert_eq!(allocation_count() - before, 0, "alternating warm solves allocated");
 }

@@ -36,7 +36,7 @@ impl SolveCostEstimate {
 }
 
 /// Convert a remaining wall-clock budget into an iteration-count deadline
-/// for `SolverConfig::deadline_iters`.
+/// for `SolveCtx::deadline_iters`.
 ///
 /// Returns 0 when the budget is already spent and `usize::MAX` (watchdog
 /// disabled) when the per-iteration price is degenerate — a broken estimate

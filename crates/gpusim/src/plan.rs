@@ -160,6 +160,7 @@ pub fn plan_recovery_cost<T: Scalar>(
 mod tests {
     use super::*;
     use spcg_core::{SpcgOptions, SpcgPlan};
+    use spcg_probe::NoProbe;
     use spcg_sparse::generators::{poisson_2d, with_magnitude_spread};
 
     fn plan(sparsify: bool) -> SpcgPlan<f64> {
@@ -302,7 +303,9 @@ mod tests {
     fn clean_recovery_prices_as_plain_iterations() {
         let p = plan(true);
         let d = DeviceSpec::a100();
-        let solve = p.solve_resilient(&vec![1.0; p.a().n_rows()]).unwrap();
+        let b = vec![1.0; p.a().n_rows()];
+        let solve = p.solve_resilient(&b, &Default::default(), &mut p.make_workspace(), NoProbe);
+        let solve = solve.unwrap();
         assert!(solve.report.clean());
         let cost = plan_recovery_cost(&d, &p, &solve.report);
         assert_eq!(cost.attempts, 1);
@@ -320,10 +323,11 @@ mod tests {
         let opts =
             ResilienceOptions { fault: Some(FaultInjection::nan_at(2)), ..Default::default() };
         let mut ws = p.make_workspace();
-        let solve = p.solve_resilient_with_workspace(&b, &opts, &mut ws).unwrap();
+        let solve = p.solve_resilient(&b, &opts, &mut ws, NoProbe).unwrap();
         assert!(solve.report.recovered());
         let faulted = plan_recovery_cost(&d, &p, &solve.report);
-        let clean = plan_recovery_cost(&d, &p, &p.solve_resilient(&b).unwrap().report);
+        let clean = p.solve_resilient(&b, &Default::default(), &mut ws, NoProbe).unwrap();
+        let clean = plan_recovery_cost(&d, &p, &clean.report);
         assert!(faulted.attempts > 1);
         assert!(faulted.total_us() > clean.total_us(), "recovery must cost extra device time");
     }

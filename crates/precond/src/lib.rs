@@ -12,13 +12,11 @@
 #![warn(missing_docs)]
 
 pub mod ainv;
-pub mod block_jacobi;
 pub mod factors;
 pub mod fsai;
 pub mod ic0;
 pub mod ick;
 pub mod ilu0;
-pub mod ilu0_par;
 pub mod iluk;
 pub mod jacobi;
 pub mod mixed;
@@ -27,13 +25,11 @@ pub mod shifted;
 pub mod traits;
 
 pub use ainv::AinvPreconditioner;
-pub use block_jacobi::BlockJacobiPreconditioner;
 pub use factors::{ExecutionStrategy, IluFactors};
 pub use fsai::FsaiPreconditioner;
 pub use ic0::ic0;
 pub use ick::{ick, ick_capped};
 pub use ilu0::{ilu0, ilu0_probed, ilu_refresh, ilu_refresh_probed};
-pub use ilu0_par::ilu0_par;
 pub use iluk::{
     iluk, iluk_pattern_matrix, iluk_pattern_matrix_capped, iluk_probed, iluk_symbolic,
     iluk_symbolic_capped, SymbolicIluk,

@@ -4,10 +4,9 @@
 
 use proptest::prelude::*;
 use spcg_precond::{
-    ic0, ilu0, iluk, BlockJacobiPreconditioner, ExecutionStrategy, JacobiPreconditioner,
-    Preconditioner, SaiPattern, SaiPreconditioner,
+    ic0, ilu0, iluk, ExecutionStrategy, Preconditioner, SaiPattern, SaiPreconditioner,
 };
-use spcg_sparse::generators::{banded_spd, poisson_2d, random_spd};
+use spcg_sparse::generators::{banded_spd, poisson_2d};
 use spcg_sparse::{CooMatrix, CsrMatrix};
 
 proptest! {
@@ -78,22 +77,6 @@ proptest! {
         }
     }
 
-    /// Jacobi and block-Jacobi(1) agree everywhere.
-    #[test]
-    fn jacobi_block1_equivalence(n in 5usize..40, seed in 0u64..200) {
-        let a = random_spd(n, 3, 1.5, seed);
-        let j = JacobiPreconditioner::new(&a).unwrap();
-        let b1 = BlockJacobiPreconditioner::new(&a, 1).unwrap();
-        let r: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let mut z1 = vec![0.0; n];
-        let mut z2 = vec![0.0; n];
-        j.apply(&r, &mut z1);
-        b1.apply(&r, &mut z2);
-        for (x, y) in z1.iter().zip(&z2) {
-            prop_assert!((x - y).abs() < 1e-12);
-        }
-    }
-
     /// SAI never increases the Frobenius distance to the identity versus
     /// the trivial preconditioner G = 0 (i.e. ‖I − GA‖_F ≤ ‖I‖_F).
     #[test]
@@ -144,17 +127,4 @@ fn iluk_rejects_missing_diagonal_at_any_k() {
 fn ic0_rejects_indefinite_input() {
     let a: CsrMatrix<f64> = poisson_2d(4, 4).map_values(|v| -v);
     assert!(ic0(&a, ExecutionStrategy::Sequential).is_err());
-}
-
-#[test]
-fn block_jacobi_rejects_singular_block() {
-    let mut coo = CooMatrix::<f64>::new(4, 4);
-    // Block {0,1} singular: rank-1.
-    coo.push(0, 0, 1.0).unwrap();
-    coo.push(0, 1, 1.0).unwrap();
-    coo.push(1, 0, 1.0).unwrap();
-    coo.push(1, 1, 1.0).unwrap();
-    coo.push(2, 2, 1.0).unwrap();
-    coo.push(3, 3, 1.0).unwrap();
-    assert!(BlockJacobiPreconditioner::new(&coo.to_csr(), 2).is_err());
 }

@@ -26,7 +26,8 @@
 //!   [`Session`]: each [`step`](Session::step) reuses the cached plan when
 //!   the values are unchanged, refreshes only the numeric factorization
 //!   ([`SpcgPlan::refresh_values`]) when they drift, and warm-starts PCG
-//!   from the previous step's solution ([`SpcgPlan::solve_from`]).
+//!   from the previous step's solution (a [`SpcgPlan::solve_in_place`]
+//!   with `SolveCtx::warm`).
 //!
 //! Requests fail independently: a right-hand side that breaks down falls
 //! back to the resilient ladder ([`SpcgPlan::solve_resilient`]) without
@@ -50,9 +51,9 @@ use spcg_gpusim::{
     spmv_cost, value_bytes_of, DeviceSpec,
 };
 use spcg_precond::JacobiPreconditioner;
-use spcg_probe::{AdmissionEvent, AdmissionVerdict, Counter, Probe, Span};
+use spcg_probe::{AdmissionEvent, AdmissionVerdict, Counter, NoProbe, Probe, Span};
 use spcg_solver::{
-    pcg_with_workspace, SolveResult, SolveStats, SolveWorkspace, SolverError, StopReason,
+    pcg_in_place, SolveCtx, SolveResult, SolveStats, SolveWorkspace, SolverError, StopReason,
 };
 use spcg_sparse::{CsrMatrix, MatrixFingerprint, Scalar, SparseError};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -471,17 +472,13 @@ impl<T: Scalar + Send + Sync + 'static> SolveService<T> {
                 1,
             );
             let mut ws = plan.make_workspace();
-            let result = plan.solve_with_workspace_probed(b, &mut ws, probe)?;
-            let (result, report) = if matches!(result.stop, StopReason::Breakdown(_)) {
-                let rs = plan.solve_resilient_with_workspace_probed(
-                    b,
-                    &self.inner.cfg.resilience,
-                    &mut ws,
-                    probe,
-                )?;
+            let stats = plan.solve_in_place(b, &mut ws, SolveCtx::probed(&mut *probe))?;
+            let (result, report) = if matches!(stats.stop, StopReason::Breakdown(_)) {
+                let rs =
+                    plan.solve_resilient(b, &self.inner.cfg.resilience, &mut ws, &mut *probe)?;
                 (rs.result, Some(rs.report))
             } else {
-                (result, None)
+                (ws.to_result(stats), None)
             };
             Ok(ServeOutcome { result, report, cache_hit, batch_size: 1, tier: SolveTier::Full })
         })();
@@ -505,7 +502,7 @@ impl<T: Scalar + Send + Sync + 'static> SolveService<T> {
         self.inner.requests.fetch_add(1, Ordering::Relaxed);
         let key = self.inner.key_for(a);
         let (plan, _) = self.inner.plan_for(key, a)?;
-        let stats = plan.solve_in_place(b, ws)?;
+        let stats = plan.solve_in_place(b, ws, SolveCtx::default())?;
         self.inner.completed.fetch_add(1, Ordering::Relaxed);
         Ok(stats)
     }
@@ -545,55 +542,6 @@ impl<T: Scalar + Send + Sync + 'static> SolveService<T> {
             Some(policy) => self.admit_and_enqueue(req.a, req.b, req.fault, policy, probe),
             None => self.enqueue(req.a, req.b, req.fault, bounded),
         }
-    }
-
-    /// [`submit`](SolveService::submit) with a deterministic injected
-    /// fault.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a `SolveRequest` and call `submit`: \
-                                          `submit(SolveRequest::new(a, b).fault(fault))`"
-    )]
-    pub fn submit_with_fault(
-        &self,
-        a: Arc<CsrMatrix<T>>,
-        b: Vec<T>,
-        fault: FaultInjection,
-    ) -> Result<Ticket<T>, ServeError> {
-        self.submit(SolveRequest::new(a, b).fault(fault))
-    }
-
-    /// [`submit`](SolveService::submit) under a [`RequestPolicy`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a `SolveRequest` and call `submit`: \
-                                          `submit(SolveRequest::new(a, b).policy(policy))`"
-    )]
-    pub fn submit_with_policy(
-        &self,
-        a: Arc<CsrMatrix<T>>,
-        b: Vec<T>,
-        policy: RequestPolicy,
-    ) -> Result<Ticket<T>, ServeError> {
-        self.submit(SolveRequest::new(a, b).policy(policy))
-    }
-
-    /// [`submit_probed`](SolveService::submit_probed) under a
-    /// [`RequestPolicy`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a `SolveRequest` and call `submit_probed`: \
-                                          `submit_probed(SolveRequest::new(a, b).policy(policy), \
-                                          probe)`"
-    )]
-    pub fn submit_with_policy_probed<P: Probe>(
-        &self,
-        a: Arc<CsrMatrix<T>>,
-        b: Vec<T>,
-        policy: RequestPolicy,
-        probe: &mut P,
-    ) -> Result<Ticket<T>, ServeError> {
-        self.submit_probed(SolveRequest::new(a, b).policy(policy), probe)
     }
 
     /// The policy path: the admission controller prices the request
@@ -906,10 +854,11 @@ impl SessionId {
 /// * **changed structure** — the step is refused; open a new session.
 ///
 /// Every step warm-starts PCG from the previous step's solution
-/// ([`SpcgPlan::solve_from`]), which is where the iteration savings on
-/// slowly-drifting sequences come from. The session is single-threaded by
-/// design (`&mut self`); concurrency comes from opening one session per
-/// trajectory, with the plan cache sharing refreshed plans across them.
+/// ([`SpcgPlan::solve_in_place`] with `SolveCtx::warm`), which is where
+/// the iteration savings on slowly-drifting sequences come from. The
+/// session is single-threaded by design (`&mut self`); concurrency comes
+/// from opening one session per trajectory, with the plan cache sharing
+/// refreshed plans across them.
 pub struct Session<T: Scalar> {
     id: SessionId,
     inner: Arc<Inner<T>>,
@@ -996,7 +945,8 @@ impl<T: Scalar + Send + Sync + 'static> Session<T> {
         }
         probe.counter(Counter::ServeSessionStep, 1);
         self.inner.session_steps.fetch_add(1, Ordering::Relaxed);
-        Ok(self.plan.solve_from_probed(b, &mut self.ws, probe)?)
+        let ctx = SolveCtx { warm: true, ..SolveCtx::probed(probe) };
+        Ok(self.plan.solve_in_place(b, &mut self.ws, ctx)?)
     }
 }
 
@@ -1133,20 +1083,16 @@ impl<T: Scalar> Inner<T> {
     ) -> Result<(SolveResult<T>, Option<spcg_core::RecoveryReport>), ServeError> {
         if let Some(fault) = fault {
             let ropts = ResilienceOptions { fault: Some(fault), ..self.cfg.resilience.clone() };
-            let rs = plan.solve_resilient_with_workspace(b, &ropts, ws)?;
+            let rs = plan.solve_resilient(b, &ropts, ws, NoProbe)?;
             return Ok((rs.result, Some(rs.report)));
         }
-        let result = plan.solve_with_workspace_deadline_probed(
-            b,
-            deadline_iters,
-            ws,
-            &mut spcg_probe::NoProbe,
-        )?;
-        if matches!(result.stop, StopReason::Breakdown(_)) {
-            let rs = plan.solve_resilient_with_workspace(b, &self.cfg.resilience, ws)?;
+        let stats =
+            plan.solve_in_place(b, ws, SolveCtx { deadline_iters, ..SolveCtx::default() })?;
+        if matches!(stats.stop, StopReason::Breakdown(_)) {
+            let rs = plan.solve_resilient(b, &self.cfg.resilience, ws, NoProbe)?;
             return Ok((rs.result, Some(rs.report)));
         }
-        Ok((result, None))
+        Ok((ws.to_result(stats), None))
     }
 
     /// Reports one policy request's outcome to its fingerprint's breaker.
@@ -1337,11 +1283,12 @@ fn serve_jacobi_batch<T: Scalar + Send + Sync>(
         } else {
             match deadline_budget(&req) {
                 None => Err(expired_in_queue(inner)),
-                Some(budget) => {
-                    let config = inner.cfg.options.solver.clone().with_deadline_iters(budget);
-                    pcg_with_workspace(a.as_ref(), &precond, &req.b, &config, &mut ws)
-                        .map(|result| ServeOutcome {
-                            result,
+                Some(deadline_iters) => {
+                    let config = &inner.cfg.options.solver;
+                    let ctx = SolveCtx { deadline_iters, ..SolveCtx::default() };
+                    pcg_in_place(a.as_ref(), &precond, &req.b, config, &mut ws, ctx)
+                        .map(|stats| ServeOutcome {
+                            result: ws.to_result(stats),
                             report: None,
                             cache_hit: false,
                             batch_size: size,

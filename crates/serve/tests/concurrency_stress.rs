@@ -7,6 +7,7 @@
 //! cache counters must reconcile exactly afterwards.
 
 use spcg_core::{FaultInjection, ResilienceOptions, SpcgOptions, SpcgPlan};
+use spcg_probe::NoProbe;
 use spcg_serve::{
     BreakerConfig, BreakerState, CacheConfig, Priority, RequestPolicy, ServeError, ServiceConfig,
     ShedReason, SolveRequest, SolveService, SolveTier,
@@ -72,9 +73,8 @@ fn hammered_service_is_bitwise_identical_and_reconciles() {
                                 ..ResilienceOptions::default()
                             };
                             let mut ws = plans[m].make_workspace();
-                            let rs = plans[m]
-                                .solve_resilient_with_workspace(&b, &ropts, &mut ws)
-                                .unwrap();
+                            let rs = plans[m].solve_resilient(&b, &ropts, &mut ws, NoProbe);
+                            let rs = rs.unwrap();
                             assert!(!rs.report.clean(), "fault must force a recovery");
                             rs.result.x
                         }

@@ -235,20 +235,3 @@ fn builder_submissions_match_synchronous_solves_bitwise() {
     assert_eq!(policied.result.x, sync.result.x);
     assert_eq!(policied.tier, SolveTier::Full);
 }
-
-/// The deprecated entry points still work (they forward to the builder) —
-/// pinned here so the migration shims cannot silently rot before removal.
-#[test]
-#[allow(deprecated)]
-fn deprecated_entry_points_forward_to_the_builder() {
-    let a = Arc::new(matrix());
-    let service = service();
-    let b = rhs(a.n_rows(), 8);
-    let via_policy = service
-        .submit_with_policy(Arc::clone(&a), b.clone(), RequestPolicy::default())
-        .unwrap()
-        .wait()
-        .unwrap();
-    let sync = service.solve(&a, &b).unwrap();
-    assert_eq!(via_policy.result.x, sync.result.x);
-}

@@ -3,11 +3,9 @@
 
 use crate::config::SolverConfig;
 use crate::error::SolverError;
-use crate::pcg::{pcg, pcg_with_workspace_probed};
+use crate::pcg::pcg;
 use crate::status::SolveResult;
-use crate::workspace::SolveWorkspace;
 use spcg_precond::IdentityPreconditioner;
-use spcg_probe::Probe;
 use spcg_sparse::{CsrMatrix, Scalar};
 
 /// Solves `A x = b` with unpreconditioned CG.
@@ -18,19 +16,6 @@ pub fn cg<T: Scalar>(
 ) -> Result<SolveResult<T>, SolverError> {
     let m = IdentityPreconditioner::new(a.n_rows());
     pcg(a, &m, b, config)
-}
-
-/// [`cg`] with an observability [`Probe`] receiving the solve-loop spans
-/// and per-iteration events.
-pub fn cg_probed<T: Scalar, P: Probe>(
-    a: &CsrMatrix<T>,
-    b: &[T],
-    config: &SolverConfig,
-    probe: &mut P,
-) -> Result<SolveResult<T>, SolverError> {
-    let m = IdentityPreconditioner::new(a.n_rows());
-    let mut ws = SolveWorkspace::for_preconditioner(a.n_rows(), &m);
-    pcg_with_workspace_probed(a, &m, b, config, None, &mut ws, probe)
 }
 
 #[cfg(test)]

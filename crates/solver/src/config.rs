@@ -32,14 +32,6 @@ pub struct SolverConfig {
     /// [`BreakdownKind::Divergence`](crate::status::BreakdownKind) when
     /// `‖r_k‖ > divergence_factor · ‖r_0‖`. Infinite disables the guard.
     pub divergence_factor: f64,
-    /// Deadline watchdog: return
-    /// [`SolverError::DeadlineExceeded`](crate::SolverError) once this many
-    /// iterations have run without converging. Serving layers derive the
-    /// budget from a wall-clock deadline via the gpusim per-iteration cost
-    /// model; the in-loop check stays a single integer comparison so the hot
-    /// loop remains zero-allocation. `usize::MAX` disables the guard (the
-    /// default).
-    pub deadline_iters: usize,
 }
 
 impl Default for SolverConfig {
@@ -54,7 +46,6 @@ impl Default for SolverConfig {
             record_history: false,
             stagnation_window: 0,
             divergence_factor: 1e8,
-            deadline_iters: usize::MAX,
         }
     }
 }
@@ -94,13 +85,6 @@ impl SolverConfig {
     /// the guard).
     pub fn with_divergence_factor(mut self, factor: f64) -> Self {
         self.divergence_factor = factor;
-        self
-    }
-
-    /// Builder-style deadline-budget override (`usize::MAX` disables the
-    /// watchdog).
-    pub fn with_deadline_iters(mut self, iters: usize) -> Self {
-        self.deadline_iters = iters;
         self
     }
 
@@ -148,13 +132,5 @@ mod tests {
         let g = c.with_stagnation_window(25).with_divergence_factor(1e3);
         assert_eq!(g.stagnation_window, 25);
         assert_eq!(g.divergence_factor, 1e3);
-    }
-
-    #[test]
-    fn deadline_defaults_off() {
-        let c = SolverConfig::default();
-        assert_eq!(c.deadline_iters, usize::MAX, "deadline watchdog must default off");
-        let d = c.with_deadline_iters(40);
-        assert_eq!(d.deadline_iters, 40);
     }
 }

@@ -41,7 +41,7 @@ pub enum SolverError {
     /// solve and no meaningful result to return.
     EmptySystem,
     /// The iteration-count deadline budget
-    /// ([`SolverConfig::deadline_iters`](crate::SolverConfig)) expired before
+    /// ([`SolveCtx::deadline_iters`](crate::SolveCtx)) expired before
     /// the solve converged. Carries the best residual norm observed so the
     /// caller can judge how far the partial solve got.
     DeadlineExceeded {

@@ -1,11 +1,11 @@
 //! Deterministic solve-loop fault injection for resilience testing.
 //!
-//! The guards in [`pcg_in_place_faulted`](crate::pcg::pcg_in_place_faulted)
-//! are only trustworthy if tests can force each failure mode on demand.
+//! The guards in [`pcg_in_place`](crate::pcg::pcg_in_place) are only
+//! trustworthy if tests can force each failure mode on demand.
 //! [`SolveFault`] poisons the iteration at a chosen step, deterministically,
 //! so a test can assert both that the guard fires and *how* the breakdown
-//! is classified. Production callers simply pass `None` (or use the
-//! fault-free entry points), which compiles to a single branch per
+//! is classified. It rides in [`SolveCtx::fault`](crate::SolveCtx);
+//! production callers leave it `None`, which costs a single branch per
 //! iteration.
 
 /// What the injected fault does to the iteration state.

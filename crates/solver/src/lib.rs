@@ -8,23 +8,19 @@
 #![warn(missing_docs)]
 
 pub mod cg;
-pub mod chebyshev;
 pub mod config;
+pub mod ctx;
 pub mod error;
 pub mod fault;
 pub mod pcg;
 pub mod status;
 pub mod workspace;
 
-pub use cg::{cg, cg_probed};
-pub use chebyshev::{chebyshev, chebyshev_probed};
+pub use cg::cg;
 pub use config::{SolverConfig, ToleranceMode};
+pub use ctx::SolveCtx;
 pub use error::SolverError;
 pub use fault::{FaultKind, SolveFault};
-pub use pcg::{
-    pcg, pcg_in_place, pcg_in_place_faulted, pcg_in_place_probed, pcg_in_place_warm_probed,
-    pcg_iteration_flops, pcg_refined_in_place, pcg_refined_in_place_probed, pcg_with_workspace,
-    pcg_with_workspace_faulted, pcg_with_workspace_probed, RefinedStats,
-};
+pub use pcg::{pcg, pcg_in_place, pcg_iteration_flops, pcg_refined_in_place, RefinedStats};
 pub use status::{BreakdownKind, PhaseTimings, SolveResult, StopReason};
 pub use workspace::{SolveStats, SolveWorkspace};

@@ -9,12 +9,13 @@
 //! (the fallback ladder in `spcg-core`) can pick the right countermeasure.
 
 use crate::config::{SolverConfig, ToleranceMode};
+use crate::ctx::SolveCtx;
 use crate::error::SolverError;
-use crate::fault::{FaultKind, SolveFault};
+use crate::fault::FaultKind;
 use crate::status::{BreakdownKind, PhaseTimings, SolveResult, StopReason};
 use crate::workspace::{SolveStats, SolveWorkspace};
 use spcg_precond::Preconditioner;
-use spcg_probe::{IterationEvent, NoProbe, Probe, ProbeStop, RefineEvent, Span};
+use spcg_probe::{IterationEvent, Probe, ProbeStop, RefineEvent, Span};
 use spcg_sparse::blas::{axpy, copy, dot, has_bad, norm2, xpby};
 use spcg_sparse::spmv::spmv;
 use spcg_sparse::{CsrMatrix, Scalar};
@@ -27,10 +28,10 @@ const STAGNATION_IMPROVEMENT: f64 = 1e-3;
 
 /// Solves `A x = b` with the left-preconditioned CG of Algorithm 1.
 ///
-/// Thin allocating wrapper over [`pcg_with_workspace`]: builds a fresh
-/// [`SolveWorkspace`] per call. Amortize setup across repeated solves by
-/// holding a workspace (or an `SpcgPlan` in `spcg-core`) and calling the
-/// workspace entry points directly.
+/// Thin allocating wrapper over [`pcg_in_place`]: builds a fresh
+/// [`SolveWorkspace`] per call and copies the iterate and history out of
+/// it. Amortize setup across repeated solves by holding a workspace (or an
+/// `SpcgPlan` in `spcg-core`) and calling [`pcg_in_place`] directly.
 pub fn pcg<T: Scalar, M: Preconditioner<T> + ?Sized>(
     a: &CsrMatrix<T>,
     m: &M,
@@ -38,92 +39,25 @@ pub fn pcg<T: Scalar, M: Preconditioner<T> + ?Sized>(
     config: &SolverConfig,
 ) -> Result<SolveResult<T>, SolverError> {
     let mut ws = SolveWorkspace::for_preconditioner(a.n_rows(), m);
-    pcg_with_workspace(a, m, b, config, &mut ws)
+    let stats = pcg_in_place(a, m, b, config, &mut ws, SolveCtx::default())?;
+    Ok(ws.to_result(stats))
 }
 
-/// Solves `A x = b` reusing `ws`, returning an owned [`SolveResult`] (the
-/// iterate and history are copied out of the workspace after the loop).
-/// The iteration loop itself allocates nothing once `ws` is warm.
-pub fn pcg_with_workspace<T: Scalar, M: Preconditioner<T> + ?Sized>(
-    a: &CsrMatrix<T>,
-    m: &M,
-    b: &[T],
-    config: &SolverConfig,
-    ws: &mut SolveWorkspace<T>,
-) -> Result<SolveResult<T>, SolverError> {
-    let stats = pcg_in_place(a, m, b, config, ws)?;
-    Ok(SolveResult {
-        x: ws.solution().to_vec(),
-        iterations: stats.iterations,
-        final_residual: stats.final_residual,
-        stop: stats.stop,
-        residual_history: ws.history().to_vec(),
-        timings: stats.timings,
-    })
-}
-
-/// [`pcg_with_workspace`] with an optional deterministic [`SolveFault`],
-/// for resilience harnesses that need an owned result from a poisoned run.
-/// With `fault: None` the output is bitwise identical to
-/// [`pcg_with_workspace`].
-pub fn pcg_with_workspace_faulted<T: Scalar, M: Preconditioner<T> + ?Sized>(
-    a: &CsrMatrix<T>,
-    m: &M,
-    b: &[T],
-    config: &SolverConfig,
-    fault: Option<SolveFault>,
-    ws: &mut SolveWorkspace<T>,
-) -> Result<SolveResult<T>, SolverError> {
-    pcg_with_workspace_probed(a, m, b, config, fault, ws, &mut NoProbe)
-}
-
-/// [`pcg_with_workspace_faulted`] with an observability [`Probe`] receiving
-/// spans, per-iteration events, and guard classifications. With
-/// [`NoProbe`] this monomorphizes to exactly [`pcg_with_workspace_faulted`];
-/// with any probe the numeric trajectory is bitwise identical — probes
-/// observe, they never perturb.
-pub fn pcg_with_workspace_probed<T: Scalar, M: Preconditioner<T> + ?Sized, P: Probe>(
-    a: &CsrMatrix<T>,
-    m: &M,
-    b: &[T],
-    config: &SolverConfig,
-    fault: Option<SolveFault>,
-    ws: &mut SolveWorkspace<T>,
-    probe: &mut P,
-) -> Result<SolveResult<T>, SolverError> {
-    let stats = pcg_in_place_probed(a, m, b, config, fault, ws, probe)?;
-    Ok(SolveResult {
-        x: ws.solution().to_vec(),
-        iterations: stats.iterations,
-        final_residual: stats.final_residual,
-        stop: stats.stop,
-        residual_history: ws.history().to_vec(),
-        timings: stats.timings,
-    })
+/// Build a per-iteration probe event; `#[inline]` so that with [`NoProbe`]
+/// the construction is dead code and vanishes entirely.
+#[inline]
+fn iter_event(k: usize, residual: f64, alpha: f64, beta: f64, guard: ProbeStop) -> IterationEvent {
+    IterationEvent { k, residual, alpha, beta, guard }
 }
 
 /// The zero-allocation PCG hot path: solves `A x = b` entirely inside `ws`,
 /// leaving the iterate in [`SolveWorkspace::solution`] and returning only
-/// `Copy` statistics.
+/// `Copy` statistics. `ctx` carries the per-call inputs (see [`SolveCtx`]):
+/// probe, iteration budget, warm start, and injected fault.
 ///
 /// `ws` is grown on first use (dimension, preconditioner scratch, history
 /// capacity); from the second call on, the whole solve — including every
-/// iteration — performs no heap allocation. The trajectory is bitwise
-/// identical to [`pcg`].
-pub fn pcg_in_place<T: Scalar, M: Preconditioner<T> + ?Sized>(
-    a: &CsrMatrix<T>,
-    m: &M,
-    b: &[T],
-    config: &SolverConfig,
-    ws: &mut SolveWorkspace<T>,
-) -> Result<SolveStats, SolverError> {
-    pcg_in_place_faulted(a, m, b, config, None, ws)
-}
-
-/// [`pcg_in_place`] with an optional deterministic [`SolveFault`] — the
-/// test harness entry point that proves the runtime guards catch and
-/// classify injected failures. With `fault: None` the trajectory is
-/// bitwise identical to [`pcg_in_place`].
+/// iteration — performs no heap allocation.
 ///
 /// The iteration follows the paper line by line: the residual test uses
 /// `‖r_k‖₂` (line 6), `α` from `(r,z)/(p,Ap)` (line 10), `β` from the
@@ -138,26 +72,6 @@ pub fn pcg_in_place<T: Scalar, M: Preconditioner<T> + ?Sized>(
 ///   window is nonzero) → [`BreakdownKind::Stagnation`];
 /// * **indefiniteness** `pᵀAp ≤ 0` or `zᵀr ≤ 0` →
 ///   [`BreakdownKind::Indefinite`].
-pub fn pcg_in_place_faulted<T: Scalar, M: Preconditioner<T> + ?Sized>(
-    a: &CsrMatrix<T>,
-    m: &M,
-    b: &[T],
-    config: &SolverConfig,
-    fault: Option<SolveFault>,
-    ws: &mut SolveWorkspace<T>,
-) -> Result<SolveStats, SolverError> {
-    pcg_in_place_probed(a, m, b, config, fault, ws, &mut NoProbe)
-}
-
-/// Build a per-iteration probe event; `#[inline]` so that with [`NoProbe`]
-/// the construction is dead code and vanishes entirely.
-#[inline]
-fn iter_event(k: usize, residual: f64, alpha: f64, beta: f64, guard: ProbeStop) -> IterationEvent {
-    IterationEvent { k, residual, alpha, beta, guard }
-}
-
-/// The fully instrumented PCG hot path: [`pcg_in_place_faulted`] plus an
-/// observability [`Probe`].
 ///
 /// Span structure per solve: one [`Span::SolveLoop`] wrapping the whole
 /// loop; inside each iteration a [`Span::Spmv`], two [`Span::Blas`] blocks
@@ -167,60 +81,15 @@ fn iter_event(k: usize, residual: f64, alpha: f64, beta: f64, guard: ProbeStop) 
 /// step (so the count of `Running` events always equals
 /// [`SolveStats::iterations`]), or the firing guard's classification on the
 /// stopping step.
-///
-/// With [`NoProbe`] every hook is an empty inlined body: the loop compiles
-/// to the un-instrumented code, preserving the zero-allocation guarantee
-/// and bitwise-identical trajectories.
-pub fn pcg_in_place_probed<T: Scalar, M: Preconditioner<T> + ?Sized, P: Probe>(
+pub fn pcg_in_place<T: Scalar, M: Preconditioner<T> + ?Sized, P: Probe>(
     a: &CsrMatrix<T>,
     m: &M,
     b: &[T],
     config: &SolverConfig,
-    fault: Option<SolveFault>,
     ws: &mut SolveWorkspace<T>,
-    probe: &mut P,
+    ctx: SolveCtx<P>,
 ) -> Result<SolveStats, SolverError> {
-    pcg_loop_probed(a, m, b, config, fault, false, ws, probe)
-}
-
-/// [`pcg_in_place_probed`] with an x₀ warm start: instead of `x0 = 0`, the
-/// iterate is seeded from the workspace-resident previous solution
-/// ([`SolveWorkspace::solution`], as left by the preceding solve on this
-/// workspace) and the initial residual is computed as `r0 = b − A·x0` (one
-/// extra SpMV). Every other line of the iteration is identical to the cold
-/// entry point, so a warm start on a zeroed workspace reproduces the cold
-/// trajectory exactly.
-///
-/// This is the sequence-of-systems hot path: for drifting-values sequences
-/// the previous step's solution is an excellent initial guess and cuts the
-/// iteration count well below a cold start.
-#[allow(clippy::too_many_arguments)]
-pub fn pcg_in_place_warm_probed<T: Scalar, M: Preconditioner<T> + ?Sized, P: Probe>(
-    a: &CsrMatrix<T>,
-    m: &M,
-    b: &[T],
-    config: &SolverConfig,
-    fault: Option<SolveFault>,
-    ws: &mut SolveWorkspace<T>,
-    probe: &mut P,
-) -> Result<SolveStats, SolverError> {
-    pcg_loop_probed(a, m, b, config, fault, true, ws, probe)
-}
-
-/// Shared loop body behind [`pcg_in_place_probed`] (cold) and
-/// [`pcg_in_place_warm_probed`] (warm): the `warm` flag only selects how
-/// `x0`/`r0` are initialized.
-#[allow(clippy::too_many_arguments)]
-fn pcg_loop_probed<T: Scalar, M: Preconditioner<T> + ?Sized, P: Probe>(
-    a: &CsrMatrix<T>,
-    m: &M,
-    b: &[T],
-    config: &SolverConfig,
-    fault: Option<SolveFault>,
-    warm: bool,
-    ws: &mut SolveWorkspace<T>,
-    probe: &mut P,
-) -> Result<SolveStats, SolverError> {
+    let SolveCtx { mut probe, deadline_iters, warm, fault } = ctx;
     if !a.is_square() {
         return Err(SolverError::NotSquare { n_rows: a.n_rows(), n_cols: a.n_cols() });
     }
@@ -322,7 +191,7 @@ fn pcg_loop_probed<T: Scalar, M: Preconditioner<T> + ?Sized, P: Probe>(
         // Deadline watchdog: one integer comparison, checked after the
         // convergence test so a solve that finishes exactly on budget still
         // reports success. Disabled (usize::MAX) it can never fire.
-        if k >= config.deadline_iters {
+        if k >= deadline_iters {
             probe.iteration(iter_event(k, r_norm, 0.0, 0.0, ProbeStop::Deadline));
             probe.span_end(Span::SolveLoop);
             return Err(SolverError::DeadlineExceeded { best_residual: best_seen, iterations: k });
@@ -430,23 +299,11 @@ pub struct RefinedStats {
     pub restarts: usize,
 }
 
-/// [`pcg_refined_in_place_probed`] without instrumentation.
-pub fn pcg_refined_in_place<T: Scalar, M: Preconditioner<T> + ?Sized>(
-    a: &CsrMatrix<T>,
-    m: &M,
-    b: &[T],
-    config: &SolverConfig,
-    max_restarts: usize,
-    ws: &mut SolveWorkspace<T>,
-) -> Result<RefinedStats, SolverError> {
-    pcg_refined_in_place_probed(a, m, b, config, None, max_restarts, ws, &mut NoProbe)
-}
-
 /// PCG under an iterative-refinement outer loop — the full-precision
 /// recurrence that recovers accuracy from a reduced-precision
 /// preconditioner.
 ///
-/// Runs [`pcg_in_place_probed`] and, whenever the recurrence *stalls*
+/// Runs [`pcg_in_place`] and, whenever the recurrence *stalls*
 /// (stagnation breakdown, or the iteration cap with the residual still
 /// above threshold), restarts it on the exact residual: with `x` the
 /// accumulated iterate, it computes `r = b − A·x` in full precision and
@@ -457,23 +314,24 @@ pub fn pcg_refined_in_place<T: Scalar, M: Preconditioner<T> + ?Sized>(
 /// returned immediately — they are the fallback ladder's job, not
 /// refinement's.
 ///
-/// The accumulated iterate is left in [`SolveWorkspace::solution`]. All
-/// buffers (including the refinement accumulator and exact-residual
-/// vector) come from `ws`, so warm calls allocate nothing. With
-/// `max_restarts == 0` and no stall the trajectory — and the workspace
-/// contents — are bitwise identical to [`pcg_in_place_probed`].
-#[allow(clippy::too_many_arguments)]
-pub fn pcg_refined_in_place_probed<T: Scalar, M: Preconditioner<T> + ?Sized, P: Probe>(
+/// `ctx` applies to the first run; the corrections share its probe and
+/// iteration budget (each run gets the whole budget) but start cold and
+/// fault-free. The accumulated iterate is left in
+/// [`SolveWorkspace::solution`]. All buffers (including the refinement
+/// accumulator and exact-residual vector) come from `ws`, so warm calls
+/// allocate nothing. With `max_restarts == 0` and no stall the trajectory
+/// — and the workspace contents — are bitwise identical to
+/// [`pcg_in_place`].
+pub fn pcg_refined_in_place<T: Scalar, M: Preconditioner<T> + ?Sized, P: Probe>(
     a: &CsrMatrix<T>,
     m: &M,
     b: &[T],
     config: &SolverConfig,
-    fault: Option<SolveFault>,
     max_restarts: usize,
     ws: &mut SolveWorkspace<T>,
-    probe: &mut P,
+    mut ctx: SolveCtx<P>,
 ) -> Result<RefinedStats, SolverError> {
-    let mut stats = pcg_in_place_probed(a, m, b, config, fault, ws, probe)?;
+    let mut stats = pcg_in_place(a, m, b, config, ws, ctx.reborrow())?;
     let needs_refinement = |s: &SolveStats| {
         matches!(
             s.stop,
@@ -505,7 +363,7 @@ pub fn pcg_refined_in_place_probed<T: Scalar, M: Preconditioner<T> + ?Sized, P: 
         }
         let exact_norm = norm2(&r_exact).to_f64();
         restarts += 1;
-        probe.refine_restart(&RefineEvent {
+        ctx.probe.refine_restart(&RefineEvent {
             restart: restarts,
             residual: exact_norm,
             iterations: stats.iterations,
@@ -516,7 +374,8 @@ pub fn pcg_refined_in_place_probed<T: Scalar, M: Preconditioner<T> + ?Sized, P: 
             stats.stop = StopReason::Converged;
             break;
         }
-        let correction = pcg_in_place_probed(a, m, &r_exact, &correction_config, None, ws, probe)?;
+        let cold = SolveCtx { warm: false, fault: None, ..ctx.reborrow() };
+        let correction = pcg_in_place(a, m, &r_exact, &correction_config, ws, cold)?;
         for (acc, &d) in x_acc.iter_mut().zip(ws.solution()) {
             *acc += d;
         }
@@ -560,7 +419,9 @@ pub fn pcg_iteration_flops(nnz_a: usize, nnz_m: usize, n: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::config::ToleranceMode;
+    use crate::fault::SolveFault;
     use spcg_precond::{ilu0, ExecutionStrategy, IdentityPreconditioner, JacobiPreconditioner};
+    use spcg_probe::NoProbe;
     use spcg_sparse::generators::{banded_spd, poisson_2d};
     use spcg_sparse::Rng;
 
@@ -715,7 +576,8 @@ mod tests {
         for seed in 0..3 {
             let b = rhs(196, seed);
             let fresh = pcg(&a, &f, &b, &cfg).unwrap();
-            let reused = pcg_with_workspace(&a, &f, &b, &cfg, &mut ws).unwrap();
+            let stats = pcg_in_place(&a, &f, &b, &cfg, &mut ws, SolveCtx::default()).unwrap();
+            let reused = ws.to_result(stats);
             assert_eq!(fresh.x, reused.x, "iterate differs on seed {seed}");
             assert_eq!(fresh.residual_history, reused.residual_history);
             assert_eq!(fresh.iterations, reused.iterations);
@@ -729,7 +591,7 @@ mod tests {
         let f = ilu0(&a, ExecutionStrategy::Sequential).unwrap();
         let cfg = SolverConfig::default().with_tol(1e-10);
         let mut ws = SolveWorkspace::for_preconditioner(144, &f);
-        let stats = pcg_in_place(&a, &f, &b, &cfg, &mut ws).unwrap();
+        let stats = pcg_in_place(&a, &f, &b, &cfg, &mut ws, SolveCtx::default()).unwrap();
         assert!(stats.converged());
         check_solution(&a, &b, ws.solution(), 1e-7);
         let owned = pcg(&a, &f, &b, &cfg).unwrap();
@@ -746,14 +608,15 @@ mod tests {
         let m_small = IdentityPreconditioner::new(25);
         let m_large = IdentityPreconditioner::new(100);
         let mut ws = SolveWorkspace::for_preconditioner(25, &m_small);
-        let r1 = pcg_with_workspace(&small, &m_small, &rhs(25, 1), &cfg, &mut ws).unwrap();
+        let ctx = SolveCtx::default();
+        let r1 = pcg_in_place(&small, &m_small, &rhs(25, 1), &cfg, &mut ws, ctx).unwrap();
         assert!(r1.converged());
-        let r2 = pcg_with_workspace(&large, &m_large, &rhs(100, 2), &cfg, &mut ws).unwrap();
+        let r2 = pcg_in_place(&large, &m_large, &rhs(100, 2), &cfg, &mut ws, ctx).unwrap();
         assert!(r2.converged());
-        assert_eq!(r2.x.len(), 100);
-        let r3 = pcg_with_workspace(&small, &m_small, &rhs(25, 3), &cfg, &mut ws).unwrap();
+        assert_eq!(ws.solution().len(), 100);
+        let r3 = pcg_in_place(&small, &m_small, &rhs(25, 3), &cfg, &mut ws, ctx).unwrap();
         assert!(r3.converged());
-        assert_eq!(r3.x.len(), 25);
+        assert_eq!(ws.solution().len(), 25);
     }
 
     // ---- typed input validation -------------------------------------------
@@ -847,16 +710,25 @@ mod tests {
 
     // ---- deadline watchdog -------------------------------------------------
 
+    /// [`pcg`] under an iteration budget.
+    fn pcg_budgeted<M: Preconditioner<f64>>(
+        a: &CsrMatrix<f64>,
+        m: &M,
+        b: &[f64],
+        cfg: &SolverConfig,
+        deadline_iters: usize,
+    ) -> Result<SolveStats, SolverError> {
+        let mut ws = SolveWorkspace::for_preconditioner(a.n_rows(), m);
+        pcg_in_place(a, m, b, cfg, &mut ws, SolveCtx { deadline_iters, ..SolveCtx::default() })
+    }
+
     #[test]
     fn deadline_budget_cuts_off_with_best_residual() {
         let a = poisson_2d(30, 30);
         let b = rhs(900, 7);
         let m = IdentityPreconditioner::new(900);
-        let cfg = SolverConfig::default()
-            .with_tol(1e-14)
-            .with_tol_mode(ToleranceMode::Absolute)
-            .with_deadline_iters(5);
-        let err = pcg(&a, &m, &b, &cfg).unwrap_err();
+        let cfg = SolverConfig::default().with_tol(1e-14).with_tol_mode(ToleranceMode::Absolute);
+        let err = pcg_budgeted(&a, &m, &b, &cfg, 5).unwrap_err();
         match err {
             SolverError::DeadlineExceeded { best_residual, iterations } => {
                 assert_eq!(iterations, 5, "watchdog must fire exactly at the budget");
@@ -877,27 +749,14 @@ mod tests {
         let a = poisson_2d(10, 10);
         let b = rhs(100, 1);
         let f = ilu0(&a, ExecutionStrategy::Sequential).unwrap();
-        let quick = pcg(&a, &f, &b, &SolverConfig::default().with_tol(1e-10)).unwrap();
+        let cfg = SolverConfig::default().with_tol(1e-10);
+        let quick = pcg(&a, &f, &b, &cfg).unwrap();
         assert!(quick.converged());
         // Budget exactly equal to the converging iteration: the convergence
         // test runs first, so the solve still succeeds.
-        let cfg = SolverConfig::default().with_tol(1e-10).with_deadline_iters(quick.iterations);
-        let res = pcg(&a, &f, &b, &cfg).unwrap();
+        let res = pcg_budgeted(&a, &f, &b, &cfg, quick.iterations).unwrap();
         assert!(res.converged());
         assert_eq!(res.iterations, quick.iterations);
-    }
-
-    #[test]
-    fn disabled_deadline_is_bitwise_identical() {
-        let a = poisson_2d(14, 14);
-        let b = rhs(196, 6);
-        let f = ilu0(&a, ExecutionStrategy::Sequential).unwrap();
-        let plain = SolverConfig::default().with_tol(1e-10).with_history(true);
-        let explicit = plain.clone().with_deadline_iters(usize::MAX);
-        let r1 = pcg(&a, &f, &b, &plain).unwrap();
-        let r2 = pcg(&a, &f, &b, &explicit).unwrap();
-        assert_eq!(r1.x, r2.x);
-        assert_eq!(r1.residual_history, r2.residual_history);
     }
 
     // ---- fault injection ---------------------------------------------------
@@ -909,14 +768,18 @@ mod tests {
         let f = ilu0(&a, ExecutionStrategy::Sequential).unwrap();
         let cfg = SolverConfig::default().with_tol(1e-10).with_history(true);
         let mut ws = SolveWorkspace::for_preconditioner(100, &f);
-        let stats =
-            pcg_in_place_faulted(&a, &f, &b, &cfg, Some(SolveFault::nan_at(3)), &mut ws).unwrap();
+        let ctx = SolveCtx { fault: Some(SolveFault::nan_at(3)), ..SolveCtx::default() };
+        let stats = pcg_in_place(&a, &f, &b, &cfg, &mut ws, ctx).unwrap();
         assert_eq!(stats.stop, StopReason::Breakdown(BreakdownKind::Nan));
         assert_eq!(stats.iterations, 3, "fault at k=3 must stop the loop there");
         assert!(stats.final_residual.is_nan());
     }
 
     // ---- warm starts -------------------------------------------------------
+
+    const COLD: SolveCtx =
+        SolveCtx { probe: NoProbe, deadline_iters: usize::MAX, warm: false, fault: None };
+    const WARM: SolveCtx = SolveCtx { warm: true, ..COLD };
 
     #[test]
     fn warm_start_on_zeroed_workspace_matches_cold() {
@@ -926,9 +789,8 @@ mod tests {
         let cfg = SolverConfig::default().with_tol(1e-10).with_history(true);
         let mut cold_ws = SolveWorkspace::for_preconditioner(144, &f);
         let mut warm_ws = SolveWorkspace::for_preconditioner(144, &f);
-        let cold = pcg_in_place(&a, &f, &b, &cfg, &mut cold_ws).unwrap();
-        let warm =
-            pcg_in_place_warm_probed(&a, &f, &b, &cfg, None, &mut warm_ws, &mut NoProbe).unwrap();
+        let cold = pcg_in_place(&a, &f, &b, &cfg, &mut cold_ws, COLD).unwrap();
+        let warm = pcg_in_place(&a, &f, &b, &cfg, &mut warm_ws, WARM).unwrap();
         assert_eq!(cold_ws.solution(), warm_ws.solution());
         assert_eq!(cold_ws.history(), warm_ws.history());
         assert_eq!(cold.iterations, warm.iterations);
@@ -941,11 +803,11 @@ mod tests {
         let f = ilu0(&a, ExecutionStrategy::Sequential).unwrap();
         let cfg = SolverConfig::default().with_tol(1e-10);
         let mut ws = SolveWorkspace::for_preconditioner(196, &f);
-        let cold = pcg_in_place(&a, &f, &b, &cfg, &mut ws).unwrap();
+        let cold = pcg_in_place(&a, &f, &b, &cfg, &mut ws, COLD).unwrap();
         assert!(cold.converged() && cold.iterations > 0);
         // Re-solving the same system warm from its own solution: the
         // initial residual is already below threshold.
-        let warm = pcg_in_place_warm_probed(&a, &f, &b, &cfg, None, &mut ws, &mut NoProbe).unwrap();
+        let warm = pcg_in_place(&a, &f, &b, &cfg, &mut ws, WARM).unwrap();
         assert!(warm.converged());
         assert_eq!(warm.iterations, 0);
     }
@@ -957,15 +819,14 @@ mod tests {
         let f = ilu0(&a, ExecutionStrategy::Sequential).unwrap();
         let cfg = SolverConfig::default().with_tol(1e-10);
         let mut ws = SolveWorkspace::for_preconditioner(256, &f);
-        pcg_in_place(&a, &f, &b, &cfg, &mut ws).unwrap();
+        pcg_in_place(&a, &f, &b, &cfg, &mut ws, COLD).unwrap();
         // A mildly perturbed right-hand side: the previous solution is a
         // good guess, so the warm solve needs strictly fewer iterations.
         let b2: Vec<f64> =
             b.iter().enumerate().map(|(i, &v)| v * (1.0 + 1e-3 * (i % 7) as f64)).collect();
         let mut cold_ws = SolveWorkspace::for_preconditioner(256, &f);
-        let cold = pcg_in_place(&a, &f, &b2, &cfg, &mut cold_ws).unwrap();
-        let warm =
-            pcg_in_place_warm_probed(&a, &f, &b2, &cfg, None, &mut ws, &mut NoProbe).unwrap();
+        let cold = pcg_in_place(&a, &f, &b2, &cfg, &mut cold_ws, COLD).unwrap();
+        let warm = pcg_in_place(&a, &f, &b2, &cfg, &mut ws, WARM).unwrap();
         assert!(warm.converged() && cold.converged());
         assert!(
             warm.iterations < cold.iterations,
@@ -973,21 +834,5 @@ mod tests {
             warm.iterations,
             cold.iterations
         );
-    }
-
-    #[test]
-    fn no_fault_is_bitwise_identical_to_plain_entry_point() {
-        let a = poisson_2d(12, 12);
-        let b = rhs(144, 13);
-        let f = ilu0(&a, ExecutionStrategy::Sequential).unwrap();
-        let cfg = SolverConfig::default().with_tol(1e-10).with_history(true);
-        let mut ws1 = SolveWorkspace::for_preconditioner(144, &f);
-        let mut ws2 = SolveWorkspace::for_preconditioner(144, &f);
-        let plain = pcg_in_place(&a, &f, &b, &cfg, &mut ws1).unwrap();
-        let faulted = pcg_in_place_faulted(&a, &f, &b, &cfg, None, &mut ws2).unwrap();
-        assert_eq!(ws1.solution(), ws2.solution());
-        assert_eq!(ws1.history(), ws2.history());
-        assert_eq!(plain.iterations, faulted.iterations);
-        assert_eq!(plain.stop, faulted.stop);
     }
 }

@@ -1,7 +1,7 @@
 //! Reusable solve-loop storage: every vector PCG touches, allocated once
 //! and reused across solves (the "execute" half of the plan/execute split).
 
-use crate::status::{PhaseTimings, StopReason};
+use crate::status::{PhaseTimings, SolveResult, StopReason};
 use spcg_precond::Preconditioner;
 use spcg_sparse::Scalar;
 
@@ -11,8 +11,7 @@ use spcg_sparse::Scalar;
 /// factors), and the residual-history buffer.
 ///
 /// Construct once — sized for a matrix dimension and a preconditioner —
-/// then hand to [`pcg_in_place`](crate::pcg::pcg_in_place) or
-/// [`pcg_with_workspace`](crate::pcg::pcg_with_workspace) any number of
+/// then hand to [`pcg_in_place`](crate::pcg::pcg_in_place) any number of
 /// times. After the first solve warms the buffers, subsequent solves
 /// perform no heap allocation inside the iteration loop.
 #[derive(Debug, Clone)]
@@ -89,6 +88,19 @@ impl<T: Scalar> SolveWorkspace<T> {
     /// recording was enabled in the solver config).
     pub fn history(&self) -> &[f64] {
         &self.history
+    }
+
+    /// The owned result of the in-place solve that returned `stats`: the
+    /// iterate and residual history copied out of the workspace.
+    pub fn to_result(&self, stats: SolveStats) -> SolveResult<T> {
+        SolveResult {
+            x: self.solution().to_vec(),
+            iterations: stats.iterations,
+            final_residual: stats.final_residual,
+            stop: stats.stop,
+            residual_history: self.history().to_vec(),
+            timings: stats.timings,
+        }
     }
 
     /// Mutable access to the active slice of the solution buffer, for
@@ -204,10 +216,9 @@ impl<T: Scalar> SolveWorkspace<T> {
     }
 }
 
-/// Scalar outcome of an in-place solve: everything in
-/// [`SolveResult`](crate::status::SolveResult) except the heap-allocated
-/// iterate and history, which stay in the workspace. `Copy`, so returning
-/// it allocates nothing.
+/// Scalar outcome of an in-place solve: everything in [`SolveResult`]
+/// except the heap-allocated iterate and history, which stay in the
+/// workspace. `Copy`, so returning it allocates nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct SolveStats {
     /// Iterations performed.

@@ -86,7 +86,8 @@ fn main() {
     let mut hist = HistogramProbe::new();
     let mut ws = plan.make_workspace();
     for load in &loads {
-        plan.solve_with_workspace_probed(load, &mut ws, &mut hist).expect("well-formed system");
+        plan.solve_in_place(load, &mut ws, SolveCtx::probed(&mut hist))
+            .expect("well-formed system");
     }
     println!("\nphase latency histogram over {} probed solves:", loads.len());
     print!("{}", hist.render());

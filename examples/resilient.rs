@@ -56,17 +56,18 @@ fn main() {
 
     // 1. Healthy solve: the guards watch, nothing fires, the result is
     //    bitwise identical to a plain solve.
-    let healthy = plan.solve_resilient(&b).unwrap();
+    let mut ws = plan.make_workspace();
+    let healthy =
+        plan.solve_resilient(&b, &ResilienceOptions::default(), &mut ws, NoProbe).unwrap();
     assert!(healthy.converged() && healthy.report.clean());
     print_report("healthy solve:", &healthy);
 
     // 2. A NaN injected into iteration 2 of the planned attempt — the
     //    kernel-fault scenario. The guard classifies it, the ladder
     //    retries on the next rung.
-    let mut ws = plan.make_workspace();
     let nan_opts =
         ResilienceOptions { fault: Some(FaultInjection::nan_at(2)), ..Default::default() };
-    let recovered = plan.solve_resilient_with_workspace(&b, &nan_opts, &mut ws).unwrap();
+    let recovered = plan.solve_resilient(&b, &nan_opts, &mut ws, NoProbe).unwrap();
     assert!(recovered.converged());
     assert_eq!(recovered.report.cause(), Some(BreakdownKind::Nan));
     print_report("NaN at iteration 2:", &recovered);
@@ -79,7 +80,7 @@ fn main() {
         fault: Some(FaultInjection::nan_at(0).persist_for(depth - 1)),
         ..Default::default()
     };
-    let bottomed = plan.solve_resilient_with_workspace(&b, &persistent, &mut ws).unwrap();
+    let bottomed = plan.solve_resilient(&b, &persistent, &mut ws, NoProbe).unwrap();
     assert!(bottomed.converged());
     assert_eq!(bottomed.report.attempts.last().unwrap().rung, FallbackRung::Jacobi);
     print_report("fault persisted through every factored rung:", &bottomed);

@@ -110,8 +110,8 @@ fn run_solve(args: &SolveArgs, analyze_only: bool) -> ExitCode {
         }
     };
     let mut ws = plan.make_workspace();
-    let result = match plan.solve_with_workspace_probed(&b, &mut ws, &mut probe) {
-        Ok(r) => r,
+    let result = match plan.solve_in_place(&b, &mut ws, SolveCtx::probed(&mut probe)) {
+        Ok(stats) => ws.to_result(stats),
         Err(e) => {
             eprintln!("error: solve failed: {e}");
             return ExitCode::FAILURE;
@@ -137,7 +137,8 @@ fn run_solve(args: &SolveArgs, analyze_only: bool) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let stats = match refreshed.solve_from(&b, &mut ws) {
+            let warm = SolveCtx { warm: true, ..SolveCtx::default() };
+            let stats = match refreshed.solve_in_place(&b, &mut ws, warm) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("error: sequence step {step} failed: {e}");
@@ -172,7 +173,7 @@ fn run_solve(args: &SolveArgs, analyze_only: bool) -> ExitCode {
     let sparsify_time = plan.sparsify_time();
     let factorization_time = plan.factorization_time();
     // Level-free plans carry no ILU factors; everything below borrows from
-    // the plan instead of consuming it via `into_outcome`.
+    // the plan.
     let decision = plan.decision();
     let factors = if level_free { None } else { Some(plan.factors()) };
     println!(

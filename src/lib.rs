@@ -18,11 +18,13 @@
 //! let mut probe = RecordingProbe::new();
 //! let plan = SpcgPlan::build_probed(&a, SpcgOptions::default(), &mut probe).unwrap();
 //! let mut ws = plan.make_workspace();
-//! let result = plan.solve_with_workspace_probed(&b, &mut ws, &mut probe).unwrap();
-//! assert!(result.converged());
+//! let stats = plan.solve_in_place(&b, &mut ws, SolveCtx::probed(&mut probe)).unwrap();
+//! assert!(stats.converged());
+//! let x = ws.solution(); // the iterate stays in the workspace
+//! assert_eq!(x.len(), a.n_rows());
 //!
 //! let trace = probe.finish();
-//! assert_eq!(trace.iterations(), result.iterations);
+//! assert_eq!(trace.iterations(), stats.iterations);
 //! trace.validate_nesting().unwrap();
 //! ```
 //!
@@ -51,7 +53,7 @@ pub mod prelude {
         oracle_select, wavefront_aware_sparsify, FallbackRung, FaultInjection, IluFill,
         KindCandidate, KindDecision, OrderingKind, PrecisionPolicy, PrecondKind, RecoveryAttempt,
         RecoveryReport, ReorderCandidate, ReorderDecision, ResilienceOptions, ResilientSolve,
-        SparsifyParams, SpcgOptions, SpcgOutcome, SpcgPlan, ORACLE_RATIOS,
+        SparsifyParams, SpcgOptions, SpcgPlan, ORACLE_RATIOS,
     };
     pub use spcg_precond::{
         ic0, ilu0, iluk, shifted_factorization, ExecutionStrategy, Preconditioner, ShiftPolicy,
@@ -65,8 +67,8 @@ pub mod prelude {
         SessionId, SolveRequest, SolveService, SolveTier, Ticket,
     };
     pub use spcg_solver::{
-        cg, pcg, pcg_in_place, pcg_with_workspace, BreakdownKind, PhaseTimings, SolveResult,
-        SolveStats, SolveWorkspace, SolverConfig, SolverError, StopReason, ToleranceMode,
+        cg, pcg, pcg_in_place, BreakdownKind, PhaseTimings, SolveCtx, SolveResult, SolveStats,
+        SolveWorkspace, SolverConfig, SolverError, StopReason, ToleranceMode,
     };
     pub use spcg_sparse::{CooMatrix, CsrMatrix, MatrixFingerprint, Scalar};
     pub use spcg_wavefront::{wavefront_count, LevelSchedule, Triangle, WavefrontStats};

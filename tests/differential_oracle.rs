@@ -381,7 +381,9 @@ fn resilient_path_agrees_with_dense_reference() {
     let x_ref = a.to_dense().solve(&b).unwrap();
     let plan =
         SpcgPlan::build(&a, SpcgOptions { solver: solver(), ..SpcgOptions::default() }).unwrap();
-    let rs = plan.solve_resilient(&b).unwrap();
+    let rs = plan
+        .solve_resilient(&b, &ResilienceOptions::default(), &mut plan.make_workspace(), NoProbe)
+        .unwrap();
     assert!(rs.converged() && rs.report.clean());
     assert!(rel_err(&rs.result.x, &x_ref) <= case.band);
 }

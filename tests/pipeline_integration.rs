@@ -12,16 +12,17 @@ fn solver() -> SolverConfig {
     SolverConfig::default().with_tol(1e-9).with_max_iters(800)
 }
 
-/// One-shot pipeline run through the blessed plan API: analyze, solve,
-/// fold back into the legacy-shaped outcome the assertions inspect.
-fn run_pipeline(
-    a: &CsrMatrix<f64>,
-    b: &[f64],
-    opts: SpcgOptions,
-) -> Result<SpcgOutcome<f64>, String> {
+/// One pipeline run: the plan (analysis and factors) and its solve.
+struct Run {
+    plan: SpcgPlan<f64>,
+    result: SolveResult<f64>,
+}
+
+/// One-shot pipeline run through the plan API: analyze, then solve.
+fn run_pipeline(a: &CsrMatrix<f64>, b: &[f64], opts: SpcgOptions) -> Result<Run, String> {
     let plan = SpcgPlan::build(a, opts).map_err(|e| e.to_string())?;
     let result = plan.solve(b).map_err(|e| e.to_string())?;
-    Ok(plan.into_outcome(result))
+    Ok(Run { plan, result })
 }
 
 /// A deterministic sample of the collection, small enough for CI.
@@ -81,11 +82,11 @@ fn sparsified_ilu0_never_has_more_wavefronts() {
                 .unwrap();
         let spcg = run_pipeline(&a, &b, SpcgOptions::default().with_solver(solver())).unwrap();
         assert!(
-            spcg.factors.total_wavefronts() <= base.factors.total_wavefronts(),
+            spcg.plan.factors().total_wavefronts() <= base.plan.factors().total_wavefronts(),
             "{}: sparsification added wavefronts ({} > {})",
             spec.name,
-            spcg.factors.total_wavefronts(),
-            base.factors.total_wavefronts()
+            spcg.plan.factors().total_wavefronts(),
+            base.plan.factors().total_wavefronts()
         );
     }
 }
@@ -131,8 +132,8 @@ fn gpu_model_prices_spcg_no_slower_for_ilu0() {
             run_pipeline(&a, &b, SpcgOptions::default().with_sparsify(None).with_solver(solver()))
                 .unwrap();
         let spcg = run_pipeline(&a, &b, SpcgOptions::default().with_solver(solver())).unwrap();
-        let tb = pcg_iteration_cost(&dev, &a, &base.factors).total_us();
-        let ts = pcg_iteration_cost(&dev, &a, &spcg.factors).total_us();
+        let tb = pcg_iteration_cost(&dev, &a, base.plan.factors()).total_us();
+        let ts = pcg_iteration_cost(&dev, &a, spcg.plan.factors()).total_us();
         assert!(
             ts <= tb * 1.0001,
             "{}: simulated per-iteration cost increased ({ts} > {tb})",
